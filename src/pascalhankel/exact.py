@@ -176,33 +176,53 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
     return result
 
 
-def determinant(a: ExactMatrix):
-    """Exact determinant by single-step Bareiss fraction-free elimination."""
+def _bareiss(a: ExactMatrix, pivot: bool):
+    """Single-step Bareiss fraction-free elimination of a square matrix.
+
+    Returns the eliminated rows m and the sign of the row permutation.
+    With pivot a zero pivot is swapped with the first lower row that is
+    nonzero in its column; SingularMinorError(k+1) is raised at a zero
+    pivot that may not (pivot false) or cannot be swapped past.
+
+    The eliminated column is left in place, and by Sylvester's identity
+    the entries it keeps are minors of the (row-permuted) matrix: m[k][k]
+    is the leading principal minor of order k+1, m[i][k] (i > k) the minor
+    on rows 0..k-1, i and columns 0..k, and m[k][j] (j > k) the minor on
+    rows 0..k and columns 0..k-1, j.  So without row swaps
+    A = L diag(D) U with L[i][k] = m[i][k]/m[k][k], U[k][j] = m[k][j]/m[k][k]
+    and D[k] = m[k][k]/m[k-1][k-1].
+    """
     if not a.is_square():
-        raise ValueError("determinant requires a square matrix")
+        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
     n = a.rows
-    if n == 0:
-        return 1
     m = a.to_rows()
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
+            swap = pivot and next((i for i in range(k + 1, n) if m[i][k]), None)
+            if not swap:
+                raise SingularMinorError(k + 1)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        piv = m[k][k]
+        mk = m[k]
+        piv = mk[k]
         for i in range(k + 1, n):
             mi = m[i]
-            mk = m[k]
             f = mi[k]
             for j in range(k + 1, n):
                 mi[j] = (piv * mi[j] - f * mk[j]) // prev
-            mi[k] = 0
         prev = piv
-    return sign * m[n - 1][n - 1]
+    return m, sign
+
+
+def determinant(a: ExactMatrix):
+    """Exact determinant by single-step Bareiss fraction-free elimination."""
+    try:
+        m, sign = _bareiss(a, pivot=True)
+    except SingularMinorError:
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
 def leading_principal_minors(a: ExactMatrix) -> list:
@@ -210,26 +230,8 @@ def leading_principal_minors(a: ExactMatrix) -> list:
     fraction-free pass.  Requires every minor nonzero (no pivoting);
     raises SingularMinorError otherwise.
     """
-    if not a.is_square():
-        raise ValueError("minors require a square matrix")
-    n = a.rows
-    m = a.to_rows()
-    minors = []
-    prev = 1
-    for k in range(n):
-        piv = m[k][k]
-        if piv == 0:
-            raise SingularMinorError(k + 1)
-        minors.append(piv)
-        for i in range(k + 1, n):
-            mi = m[i]
-            mk = m[k]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (piv * mi[j] - f * mk[j]) // prev
-            mi[k] = 0
-        prev = piv
-    return minors
+    m, _ = _bareiss(a, pivot=False)
+    return [m[k][k] for k in range(len(m))]
 
 
 @dataclass(frozen=True)
@@ -249,27 +251,19 @@ def ldu_decompose(a: ExactMatrix) -> LDUFactors:
     D_k equals det(A^(k+1))/det(A^(k)); raises SingularMinorError at the
     first vanishing leading principal minor.
     """
-    if not a.is_square():
-        raise ValueError("LDU requires a square matrix")
-    n = a.rows
-    u = [[Fraction(x) for x in row] for row in a.to_rows()]
-    l = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        if u[k][k] == 0:
-            raise SingularMinorError(k + 1)
-        for i in range(k + 1, n):
-            f = u[i][k] / u[k][k]
-            l[i][k] = f
-            if f:
-                u[i] = [x - f * y for x, y in zip(u[i], u[k])]
-    d = [u[k][k] for k in range(n)]
-    for k in range(n):
-        u[k] = [x / d[k] for x in u[k]]
+    m, _ = _bareiss(a, pivot=False)
+    n = len(m)
+    minors = [1] + [m[k][k] for k in range(n)]
+
+    def ratio(p, q):
+        return _as_int(Fraction(p, q))
+
     return LDUFactors(
-        ExactMatrix.from_rows([[_as_int(x) for x in row] for row in l]),
-        tuple(_as_int(x) for x in d),
-        ExactMatrix.from_rows([[_as_int(x) for x in row] for row in u]),
+        ExactMatrix.from_rows([[ratio(m[i][j], minors[j + 1]) if j < i else int(i == j)
+                                for j in range(n)] for i in range(n)]),
+        tuple(ratio(minors[k + 1], minors[k]) for k in range(n)),
+        ExactMatrix.from_rows([[ratio(m[i][j], minors[i + 1]) if j > i else int(i == j)
+                                for j in range(n)] for i in range(n)]),
     )
 
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 SEQUENCE_KINDS = (
     "thue_morse",
     "catalan",
@@ -13,9 +10,8 @@ SEQUENCE_KINDS = (
     "paperfolding",
 )
 
-# dual-formula cross-check is only affordable at small index; see tests
-# for the wider sweep against both binomial formulas
-_CROSSCHECK_LIMIT = 64
+# C_0, C_1, ...: every Catalan number computed so far, in order
+_CATALAN = [1]
 
 
 def s2(n: int) -> int:
@@ -37,20 +33,14 @@ def lucas_binom_mod2(i: int, j: int) -> int:
     return 1 if i & ~j == 0 else 0
 
 
-@lru_cache(maxsize=None)
 def catalan(k: int) -> int:
     """Exact Catalan number binom(2k,k)/(k+1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 1
-    c = catalan(k - 1) * 2 * (2 * k - 1) // (k + 1)
-    if k <= _CROSSCHECK_LIMIT:
-        quotient = math.comb(2 * k, k) // (k + 1)
-        difference = math.comb(2 * k, k) - math.comb(2 * k, k - 1)
-        if not (c == quotient == difference):
-            raise ArithmeticError(f"Catalan formulas disagree at k={k}")
-    return c
+    while len(_CATALAN) <= k:
+        j = len(_CATALAN)
+        _CATALAN.append(_CATALAN[-1] * 2 * (2 * j - 1) // (j + 1))
+    return _CATALAN[k]
 
 
 def catalan_interspersed(k: int, mod2: bool = False) -> int:
@@ -70,18 +60,24 @@ def catalan_interspersed(k: int, mod2: bool = False) -> int:
     return -value if half % 2 else value
 
 
-def paperfolding(length: int) -> list:
-    """Prefix of the +-1 paperfolding sequence starting (1, -1, -1, -1, ...).
+def _paperfold(i: int) -> int:
+    # closed form of the doubling recursion: for i + 1 = 2^v * m with m odd,
+    # the term is s = +1 if m = 1 (mod 4) else -1 when v = 0, and -s when v > 0
+    if i < 0:
+        raise ValueError("index must be nonnegative")
+    n = i + 1
+    v = (n & -n).bit_length() - 1
+    s = 1 if (n >> v) % 4 == 1 else -1
+    return -s if v else s
 
-    Built by the doubling recursion w -> w . (-1) . (-w reversed); each
-    step extends the previous word, so the prefix is well defined.
+
+def paperfolding(length: int) -> list:
+    """Prefix of the +-1 paperfolding sequence starting (1, -1, -1, -1, ...),
+    the limit of the doubling recursion w -> w . (-1) . (-w reversed).
     """
     if length < 1:
         raise ValueError("length must be positive")
-    w = [1]
-    while len(w) < length:
-        w = w + [-1] + [-x for x in reversed(w)]
-    return w[:length]
+    return [_paperfold(i) for i in range(length)]
 
 
 def value(kind: str, i: int) -> int:
@@ -95,5 +91,5 @@ def value(kind: str, i: int) -> int:
     if kind == "catalan_interspersed_mod2":
         return catalan_interspersed(i, mod2=True)
     if kind == "paperfolding":
-        return paperfolding(i + 1)[i]
+        return _paperfold(i)
     raise ValueError(f"unknown sequence kind: {kind}")

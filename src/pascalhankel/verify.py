@@ -149,8 +149,12 @@ def check_lemma1_factorization(n_max: int = 64) -> VerificationReport:
     return report
 
 
-def _minor_sweep(report, fam, n_max, k, expected_fn, label):
-    """Check det of shifted windows for all n via one fraction-free pass."""
+def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
+    """Check det of shifted windows for all n via one fraction-free pass.
+
+    key(det) is compared with expected_fn(n); abs for sweeps that only
+    predict |det|.
+    """
     try:
         minors = exact.leading_principal_minors(
             families.window_of(fam, n_max, n_max, k))
@@ -160,9 +164,9 @@ def _minor_sweep(report, fam, n_max, k, expected_fn, label):
         return None
     for n, det in enumerate(minors, start=1):
         report.checked += 1
-        want = expected_fn(n)
-        if det != want:
-            report.fail(f"{label}, n={n}", want, det)
+        want, got = expected_fn(n), key(det)
+        if got != want:
+            report.fail(f"{label}, n={n}", want, got)
     return minors
 
 
@@ -214,19 +218,10 @@ def check_det_formulas(which: str, n_max: int | None = None,
                             for i in range(n))
                     return abs(a) ** e
 
-                try:
-                    minors = exact.leading_principal_minors(
-                        families.window_of(families.M1(a), n_max, n_max, k))
-                except exact.SingularMinorError as err:
-                    report.fail(f"a={a}, k={k}", "nonzero minor",
-                                f"zero minor of order {err.order}")
-                    report.checked += n_max
-                    continue
-                for n, det in enumerate(minors, start=1):
-                    report.checked += 1
-                    if abs(det) != expected(n):
-                        report.fail(f"a={a}, k={k}, n={n}", expected(n), abs(det))
-                signs[f"a={a},k={k}"] = [1 if d > 0 else -1 for d in minors]
+                minors = _minor_sweep(report, families.M1(a), n_max, k,
+                                      expected, f"a={a}, k={k}", abs)
+                if minors is not None:
+                    signs[f"a={a},k={k}"] = [1 if d > 0 else -1 for d in minors]
         report.data["signs"] = signs
     else:
         raise ValueError(f"unknown determinant sweep: {which!r}")
@@ -245,17 +240,8 @@ def check_hankel_minors(which: str, n_max: int = 40,
     report = VerificationReport(
         f"hankel-{which.lower()}", f"n <= {n_max}"
         + (f", anti-triangular k <= {anti_k_max}" if which == "H2" else ""))
-    try:
-        minors = exact.leading_principal_minors(families.window_of(fam, n_max))
-    except exact.SingularMinorError as err:
-        report.fail(which, "nonzero minor", f"zero minor of order {err.order}")
-        report.checked += n_max
-        minors = None
+    minors = _minor_sweep(report, fam, n_max, 0, lambda n: 1, which, abs)
     if minors is not None:
-        for n, det in enumerate(minors, start=1):
-            report.checked += 1
-            if abs(det) != 1:
-                report.fail(f"n={n}", 1, abs(det))
         report.data["signs"] = minors
     if which == "H2":
         gen = families.entry_fn(families.H2)

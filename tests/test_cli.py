@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from importlib import resources
@@ -41,6 +42,43 @@ def test_matrix_show_csv_and_json():
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("matrix.schema.json"))
     assert payload["entries"][0] == ["1", "0", "-1"]
+
+
+def test_matrix_show_deep_catalan_index():
+    # C_2000 is reached by a cold call; it must not exhaust the recursion limit
+    code, out = run(["matrix", "show", "--family", "H1", "--n", "2", "--k", "4000"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+
+
+# sha256 of stdout, JSON reports re-dumped without "elapsed": the exact
+# bytes printed for LDU factors, a pivoting determinant and minor sweeps
+PINNED_STDOUT = {
+    "matrix ldu --family M2 --n 64":
+        "1756db68e53ff179dfe27d6f497a0cfb193634354ec02228fa3cba09fa91ebf7",
+    "matrix ldu --family P2 --n 40":
+        "673d10226c4a3aaf3ffb7d6ce271b0a978ebc6e8f46208f74b2a1a1e7f0b965c",
+    "matrix ldu --family H1 --n 30":
+        "eac4cc2d6057a7727e5cedc48dc6362a3885576376b8ac7c570f4b9fad90fc88",
+    "matrix det --family H1 --n 20 --k 200":
+        "bad511771e8389bfd7a9b606a826fd512a82bad0c0841dac747c1532298321ef",
+    "verify det-m1a --json":
+        "b95dc2cc9c8fcdbba0f5c7f37e6a32b1daf70ad59870049b648ac5d8677772c2",
+    "verify hankel-h1 --n-max 80 --json":
+        "f8507747728b97e306224964d9e70e3d56f2c1fc765d2f8455153bca5e9ae958",
+}
+
+
+def test_pinned_stdout_is_byte_identical():
+    for cmd, digest in PINNED_STDOUT.items():
+        code, out = run(cmd.split())
+        assert code == 0
+        if "--json" in cmd:
+            reports = json.loads(out)
+            for r in reports:
+                r.pop("elapsed")
+            out = json.dumps(reports)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, cmd
 
 
 def test_matrix_rank_and_ldu():

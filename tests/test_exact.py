@@ -27,6 +27,35 @@ def cofactor_determinant(rows):
     return total
 
 
+def fraction_ldu(a):
+    """Reference LDU: textbook Gaussian elimination over Fraction."""
+    n = a.rows
+    u = [[Fraction(x) for x in row] for row in a.to_rows()]
+    l = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    for k in range(n):
+        if u[k][k] == 0:
+            raise exact.SingularMinorError(k + 1)
+        for i in range(k + 1, n):
+            f = u[i][k] / u[k][k]
+            l[i][k] = f
+            if f:
+                u[i] = [x - f * y for x, y in zip(u[i], u[k])]
+    d = [u[k][k] for k in range(n)]
+    for k in range(n):
+        u[k] = [x / d[k] for x in u[k]]
+    return l, d, u
+
+
+def assert_ldu_matches_reference(a):
+    l, d, u = fraction_ldu(a)
+    f = exact.ldu_decompose(a)
+    assert f.L.to_rows() == l and list(f.D) == d and f.U.to_rows() == u
+    # integral entries come back as int, as the CLI prints them
+    for x in f.L.entries + f.D + f.U.entries:
+        assert isinstance(x, int) or x.denominator != 1
+
+
 def random_matrix(rng, n, lo=-9, hi=9):
     return ExactMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
@@ -156,6 +185,27 @@ def test_ldu_reconstructs_and_reports_minor_ratios():
         minors = [exact.determinant(a.submatrix(k)) for k in range(n + 1)]
         assert list(f.D) == [Fraction(minors[k + 1], minors[k]) for k in range(n)]
         done += 1
+
+
+def test_ldu_matches_fraction_elimination_oracle():
+    rng = random.Random(31337)
+    done = 0
+    while done < 40:
+        a = random_matrix(rng, rng.randint(0, 7))
+        try:
+            fraction_ldu(a)
+        except exact.SingularMinorError as err:
+            with pytest.raises(exact.SingularMinorError) as got:
+                exact.ldu_decompose(a)
+            assert got.value.order == err.order
+            continue
+        assert_ldu_matches_reference(a)
+        done += 1
+
+
+@pytest.mark.parametrize("name, n", [("M2", 64), ("P2", 40), ("H1", 30)])
+def test_ldu_of_family_windows_matches_fraction_elimination_oracle(name, n):
+    assert_ldu_matches_reference(families.window_of(families.parse_family(name), n))
 
 
 def test_ldu_reports_vanishing_minor_order():

@@ -94,6 +94,14 @@ def test_paperfolding_prefix_stability():
         assert seq.paperfolding(n) == long[:n]
 
 
+def test_paperfolding_closed_form_matches_doubling_recursion():
+    w = [1]
+    while len(w) < 5000:
+        w = w + [-1] + [-x for x in reversed(w)]
+    assert seq.paperfolding(5000) == w[:5000]
+    assert [seq.value("paperfolding", i) for i in range(5000)] == w[:5000]
+
+
 def test_value_dispatch():
     assert seq.value("thue_morse", 3) == 0
     assert seq.value("catalan", 3) == 5
@@ -102,3 +110,5 @@ def test_value_dispatch():
     assert seq.value("paperfolding", 2) == -1
     with pytest.raises(ValueError):
         seq.value("fibonacci", 1)
+    with pytest.raises(ValueError):
+        seq.value("paperfolding", -2)
