@@ -10,9 +10,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import exact, families, laurent, net, sequences, verify
+
+
+def _family(text: str) -> families.Family:
+    try:
+        return families.parse_family(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _dims(text: str) -> tuple:
+    """--dims: the text (echoed in JSON output) and its families."""
+    return text, tuple(_family(t) for t in text.split(","))
+
+
+def _a_range(text: str) -> tuple:
+    """--a-range LO:HI: the parameters LO, LO + 1, ..., HI."""
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    return tuple(range(lo, hi + 1))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     msub = m.add_subparsers(dest="action", required=True)
     for name in ("show", "det", "rank", "ldu"):
         ms = msub.add_parser(name)
-        ms.add_argument("--family", required=True,
+        ms.add_argument("--family", type=_family, required=True,
                         help="P1[:a=A], M1[:a=A], P2, M2, H1, H2")
         ms.add_argument("--n", type=int, required=True)
         ms.add_argument("--m", type=int, default=None)
@@ -40,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("identity", help="identity id or 'all'")
     v.add_argument("--n-max", type=int, default=None)
     v.add_argument("--k-max", type=int, default=None)
-    v.add_argument("--a-range", default=None,
+    v.add_argument("--a-range", dest="a", type=_a_range, default=None, metavar="LO:HI",
                    help="LO:HI (write --a-range=-5:5 for negative bounds)")
     v.add_argument("--json", action="store_true")
 
@@ -60,12 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
     nsub = n.add_subparsers(dest="action", required=True)
     nt = nsub.add_parser("t-value")
     nt.add_argument("--p", type=int, required=True)
-    nt.add_argument("--dims", required=True, help="comma-separated families")
+    nt.add_argument("--dims", type=_dims, required=True, help="comma-separated families")
     nt.add_argument("--m-max", type=int, required=True)
     nt.add_argument("--json", action="store_true")
     np_ = nsub.add_parser("points")
     np_.add_argument("--p", type=int, required=True)
-    np_.add_argument("--dims", required=True)
+    np_.add_argument("--dims", type=_dims, required=True)
     np_.add_argument("--m", type=int, required=True)
     np_.add_argument("--n", type=int, required=True)
     np_.add_argument("--format", choices=("csv",), default="csv")
@@ -81,14 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _generating_set(p: int, dims: str) -> net.GeneratingSet:
-    fams = tuple(families.parse_family(t) for t in dims.split(","))
-    return net.GeneratingSet(p, fams)
-
-
 def _cmd_matrix(args, out) -> int:
-    fam = families.parse_family(args.family)
-    w = families.window_of(fam, args.n, args.m, args.k)
+    w = families.window_of(args.family, args.n, args.m, args.k)
     if args.action == "show":
         if args.format == "json":
             print(exact.to_json(w), file=out)
@@ -109,27 +125,14 @@ def _cmd_matrix(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    options = {}
-    if args.n_max is not None:
-        options["n_max"] = args.n_max
-    if args.k_max is not None:
-        options["k_max"] = args.k_max
-    if args.a_range is not None:
-        lo, _, hi = args.a_range.partition(":")
-        options["a_range"] = (int(lo), int(hi))
+    grid = {key: getattr(args, key) for key in ("n_max", "k_max", "a")
+            if getattr(args, key) is not None}
     if args.identity == "all":
-        if options:
-            raise ValueError("grid flags apply to single identities, not 'all'")
+        if grid:
+            raise verify.GridError("grid flags apply to single identities, not 'all'")
         reports = verify.run_all()
     else:
-        if "a_range" in options and args.identity.startswith("group-law"):
-            lo, hi = options.pop("a_range")
-            options["pairs"] = [(a, b) for a in range(lo, hi + 1)
-                                for b in range(lo, hi + 1)]
-        elif "a_range" in options and args.identity == "det-m1a":
-            lo, hi = options.pop("a_range")
-            options["a_values"] = tuple(a for a in range(lo, hi + 1) if a != 0)
-        reports = [verify.run_check(args.identity, **options)]
+        reports = [verify.run_check(args.identity, **grid)]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], default=str), file=out)
     else:
@@ -166,18 +169,17 @@ def _cmd_seq(args, out) -> int:
 
 def _cmd_net(args, out) -> int:
     if args.action == "t-value":
-        gs = _generating_set(args.p, args.dims)
-        ts = net.t_value(gs, args.m_max)
+        dims, fams = args.dims
+        ts = net.t_value(net.GeneratingSet(args.p, fams), args.m_max)
         if args.json:
-            print(json.dumps({"p": args.p, "dims": args.dims,
+            print(json.dumps({"p": args.p, "dims": dims,
                               "t_per_m": ts, "t": max(ts)}), file=out)
         else:
             print("m: " + " ".join(str(m) for m in range(1, args.m_max + 1)), file=out)
             print("t: " + " ".join(str(t) for t in ts), file=out)
             print(f"overall t = {max(ts)}", file=out)
     elif args.action == "points":
-        gs = _generating_set(args.p, args.dims)
-        ps = net.digital_points(gs, args.n, args.m)
+        ps = net.digital_points(net.GeneratingSet(args.p, args.dims[1]), args.n, args.m)
         for pt in ps.points:
             print(",".join(f"{x.numerator}/{x.denominator}" for x in pt), file=out)
     elif args.action == "discrepancy":
@@ -189,7 +191,7 @@ def _cmd_net(args, out) -> int:
                     pts.append(tuple(Fraction(tok) for tok in line.split(",")))
         if not pts:
             raise ValueError("no points in input")
-        ps = net.PointSet(2, len(pts[0]), tuple(pts))
+        ps = net.PointSet(len(pts[0]), tuple(pts))
         print(net.star_discrepancy(ps), file=out)
     elif args.action == "search":
         results = net.search_third_matrix(args.p, args.m_max, args.candidates,
@@ -221,8 +223,14 @@ def run(argv, out=None) -> int:
         if args.verb == "net":
             return _cmd_net(args, out)
         return 2
+    except verify.GridError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, ArithmeticError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:  # any other crash is internal too, never a failed verification
+        traceback.print_exc()
         return 3
 
 

@@ -12,13 +12,46 @@ from . import exact, sequences
 class Family:
     """A named infinite matrix with a total entry function on N0 x N0.
 
-    kind is one of "P1", "P2", "M1", "M2", "hankel"; a parametrizes P1/M1;
-    seq names the sequence of a Hankel matrix.
+    kind is a key of KINDS (the CLI name); a parametrizes P1 and M1.
     """
 
     kind: str
     a: int = 0
-    seq: str = ""
+
+
+def _delta(i, j):
+    return 1 if i == j else 0
+
+
+def _p1(a):
+    if a == 0:
+        return _delta
+    return lambda i, j: 0 if i > j else math.comb(j, i) * a ** (j - i)
+
+
+def _m1(a):
+    if a == 0:
+        return _delta
+
+    def m1(i, j):
+        if i & ~j:
+            return 0
+        # bit-subset makes the exponent nonnegative
+        return a ** (sequences.s2(j) - sequences.s2(i))
+
+    return m1
+
+
+# CLI name -> (whether it takes the parameter a, maker of its entry
+# function from a)
+KINDS = {
+    "P1": (True, _p1),
+    "P2": (False, lambda a: lambda i, j: math.comb(i + j, i)),
+    "M1": (True, _m1),
+    "M2": (False, lambda a: lambda i, j: math.comb(i + j, i) % 2),
+    "H1": (False, lambda a: lambda i, j: sequences.catalan_interspersed(i + j)),
+    "H2": (False, lambda a: lambda i, j: sequences.catalan_interspersed(i + j, mod2=True)),
+}
 
 
 def P1(a: int) -> Family:
@@ -31,8 +64,8 @@ def M1(a: int) -> Family:
 
 P2 = Family("P2")
 M2 = Family("M2")
-H1 = Family("hankel", seq="catalan_interspersed")
-H2 = Family("hankel", seq="catalan_interspersed_mod2")
+H1 = Family("H1")
+H2 = Family("H2")
 
 
 def entry(f: Family, i: int, j: int) -> int:
@@ -41,35 +74,9 @@ def entry(f: Family, i: int, j: int) -> int:
 
 def entry_fn(f: Family):
     """Closure computing entries of f; total on N0 x N0."""
-    if f.kind == "P1":
-        a = f.a
-        if a == 0:
-            return lambda i, j: 1 if i == j else 0
-        return lambda i, j: 0 if i > j else math.comb(j, i) * a ** (j - i)
-    if f.kind == "P2":
-        return lambda i, j: math.comb(i + j, i)
-    if f.kind == "M1":
-        a = f.a
-        if a == 0:
-            return lambda i, j: 1 if i == j else 0
-
-        def m1(i, j, a=a):
-            if i & ~j:
-                return 0
-            # bit-subset makes the exponent nonnegative
-            return a ** (sequences.s2(j) - sequences.s2(i))
-
-        return m1
-    if f.kind == "M2":
-        return lambda i, j: math.comb(i + j, i) % 2
-    if f.kind == "hankel":
-        seq = f.seq
-
-        def hankel(i, j, seq=seq):
-            return sequences.value(seq, i + j)
-
-        return hankel
-    raise ValueError(f"unknown family kind: {f.kind}")
+    if f.kind not in KINDS:
+        raise ValueError(f"unknown family kind: {f.kind}")
+    return KINDS[f.kind][1](f.a)
 
 
 def h2_structure_entry(i: int, j: int) -> int:
@@ -92,30 +99,17 @@ def parse_family(text: str) -> Family:
     """
     name, _, param = text.partition(":")
     name = name.strip().upper()
-    if name in ("P1", "M1"):
-        a = 1
-        if param:
-            key, _, val = param.partition("=")
-            if key.strip() != "a":
-                raise ValueError(f"unknown parameter in {text!r}")
-            a = int(val)
-        return P1(a) if name == "P1" else M1(a)
-    if param:
+    if name not in KINDS:
+        raise ValueError(f"unknown family: {text!r}")
+    if not param:
+        return Family(name, a=1 if KINDS[name][0] else 0)
+    if not KINDS[name][0]:
         raise ValueError(f"family {name} takes no parameters")
-    if name == "P2":
-        return P2
-    if name == "M2":
-        return M2
-    if name == "H1":
-        return H1
-    if name == "H2":
-        return H2
-    raise ValueError(f"unknown family: {text!r}")
+    key, _, val = param.partition("=")
+    if key.strip() != "a":
+        raise ValueError(f"unknown parameter in {text!r}")
+    return Family(name, a=int(val))
 
 
 def family_name(f: Family) -> str:
-    if f.kind in ("P1", "M1"):
-        return f"{f.kind}:a={f.a}"
-    if f.kind == "hankel":
-        return "H1" if f.seq == "catalan_interspersed" else "H2"
-    return f.kind
+    return f"{f.kind}:a={f.a}" if KINDS[f.kind][0] else f.kind

@@ -48,7 +48,6 @@ class GeneratingSet:
 
 @dataclass(frozen=True)
 class PointSet:
-    p: int
     s: int
     points: tuple  # tuples of Fractions in [0, 1)
 
@@ -131,7 +130,7 @@ def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
                 num = num * p + d
             coords.append(Fraction(num, denom))
         pts.append(tuple(coords))
-    return PointSet(p, gs.s, tuple(pts))
+    return PointSet(gs.s, tuple(pts))
 
 
 def net_property_ok(gs: GeneratingSet, m: int) -> bool:

@@ -2,14 +2,6 @@
 
 from __future__ import annotations
 
-SEQUENCE_KINDS = (
-    "thue_morse",
-    "catalan",
-    "catalan_interspersed",
-    "catalan_interspersed_mod2",
-    "paperfolding",
-)
-
 # C_0, C_1, ...: every Catalan number computed so far, in order
 _CATALAN = [1]
 
@@ -80,16 +72,19 @@ def paperfolding(length: int) -> list:
     return [_paperfold(i) for i in range(length)]
 
 
+# kind -> total function N0 -> Z; the CLI lists the kinds in this order
+SEQUENCES = {
+    "thue_morse": thue_morse,
+    "catalan": catalan,
+    "catalan_interspersed": catalan_interspersed,
+    "catalan_interspersed_mod2": lambda i: catalan_interspersed(i, mod2=True),
+    "paperfolding": _paperfold,
+}
+SEQUENCE_KINDS = tuple(SEQUENCES)
+
+
 def value(kind: str, i: int) -> int:
     """Total function N0 -> Z for any named sequence kind."""
-    if kind == "thue_morse":
-        return thue_morse(i)
-    if kind == "catalan":
-        return catalan(i)
-    if kind == "catalan_interspersed":
-        return catalan_interspersed(i)
-    if kind == "catalan_interspersed_mod2":
-        return catalan_interspersed(i, mod2=True)
-    if kind == "paperfolding":
-        return _paperfold(i)
-    raise ValueError(f"unknown sequence kind: {kind}")
+    if kind not in SEQUENCES:
+        raise ValueError(f"unknown sequence kind: {kind}")
+    return SEQUENCES[kind](i)

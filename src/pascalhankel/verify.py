@@ -1,6 +1,8 @@
-"""Machine verification of the matrix identities: one routine per
-identity, each sweeping a parameter grid and returning a structured
-report.
+"""Machine verification of the matrix identities.
+
+IDENTITIES maps each identity id to its sweep, its default parameter grid
+(whose keys are the only options it accepts), the grid's description and
+the soundness notes; run_check, the one entry point, returns a report.
 
 All matrix-product identities are evaluated on finite windows.  This is
 sound because every participating entry only involves indices inside the
@@ -13,7 +15,10 @@ largest size and compares blocks.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import exact, families, sequences
@@ -77,76 +82,51 @@ def _compare_blocks(report, full_lhs, full_rhs, n_max, label):
             break
 
 
-def check_item1_gram(n_max: int = 32) -> VerificationReport:
-    """P1^T P1 == P2 on all windows n <= n_max."""
-    t0 = time.time()
-    report = VerificationReport(
-        "item1", f"n <= {n_max}",
-        notes="Gram entries sum over l <= min(i,j), so windowing is exact.")
+def _nonzero(a) -> tuple:
+    return tuple(x for x in a if x)
+
+
+def _a_text(a) -> str:
+    """[LO,HI] for a run of consecutive integers, else the tuple."""
+    a = tuple(a)
+    return f"[{a[0]},{a[-1]}]" if a and a == tuple(range(a[0], a[-1] + 1)) else str(a)
+
+
+def _item1(report, n_max):
+    """P1^T P1 == P2."""
     w = families.window_of(families.P1(1), n_max)
     _compare_blocks(report, exact.mat_mul(w.transpose(), w),
                     families.window_of(families.P2, n_max), n_max, "P1^T P1")
-    report.elapsed = time.time() - t0
-    return report
 
 
-def check_item2_power(a_range=(-5, 5), n_max: int = 16) -> VerificationReport:
-    """P1^a == P1(a) on windows, for nonzero a in a_range."""
-    t0 = time.time()
-    lo, hi = a_range
-    report = VerificationReport(
-        "item2", f"a in [{lo},{hi}] \\ {{0}}, n <= {n_max}",
-        notes="Powers of upper triangular matrices commute with windowing.")
+def _item2(report, a, n_max):
+    """P1^a == P1(a) for nonzero a."""
     base = families.window_of(families.P1(1), n_max)
-    for a in range(lo, hi + 1):
-        if a == 0:
-            continue
-        _compare_blocks(report, exact.mat_pow(base, a),
-                        families.window_of(families.P1(a), n_max),
-                        n_max, f"a={a}")
-    report.elapsed = time.time() - t0
-    return report
+    for x in _nonzero(a):
+        _compare_blocks(report, exact.mat_pow(base, x),
+                        families.window_of(families.P1(x), n_max),
+                        n_max, f"a={x}")
 
 
-def check_group_law(family: str = "M1", pairs=None, n_max: int = 64) -> VerificationReport:
-    """F(a) F(b) == F(a+b) on windows for F in {P1, M1}."""
-    t0 = time.time()
-    if family not in ("P1", "M1"):
-        raise ValueError("group law applies to P1 or M1")
-    if pairs is None:
-        pairs = [(a, b) for a in range(-5, 6) for b in range(-5, 6)]
-    maker = families.P1 if family == "P1" else families.M1
-    report = VerificationReport(
-        f"group-law-{family.lower()}", f"{len(pairs)} pairs, n <= {n_max}",
-        notes="Products of upper triangular matrices commute with windowing.")
-    cache = {}
-
-    def w(c):
-        if c not in cache:
-            cache[c] = families.window_of(maker(c), n_max)
-        return cache[c]
-
-    for a, b in pairs:
-        _compare_blocks(report, exact.mat_mul(w(a), w(b)), w(a + b),
-                        n_max, f"a={a}, b={b}")
-    report.elapsed = time.time() - t0
-    return report
+def _group_law(kind):
+    """F(a) F(b) == F(a+b) for every pair of a x a, F the family kind."""
+    def sweep(report, a, n_max):
+        w = functools.cache(
+            lambda c: families.window_of(families.Family(kind, c), n_max))
+        for x, y in itertools.product(a, a):
+            _compare_blocks(report, exact.mat_mul(w(x), w(y)), w(x + y),
+                            n_max, f"a={x}, b={y}")
+    return sweep
 
 
-def check_lemma1_factorization(n_max: int = 64) -> VerificationReport:
-    """M1^T diag((-1)^t_i) M1 == M2 on windows n <= n_max."""
-    t0 = time.time()
-    report = VerificationReport(
-        "lemma1", f"n <= {n_max}",
-        notes="Summation index l <= min(i,j), so windowing is exact.")
+def _lemma1(report, n_max):
+    """M1^T diag((-1)^t_i) M1 == M2."""
     m1 = families.window_of(families.M1(1), n_max)
     signs = exact.ExactMatrix.diagonal(
         [(-1) ** sequences.thue_morse(i) for i in range(n_max)])
     lhs = exact.mat_mul(exact.mat_mul(m1.transpose(), signs), m1)
     _compare_blocks(report, lhs, families.window_of(families.M2, n_max),
                     n_max, "M1^T D M1")
-    report.elapsed = time.time() - t0
-    return report
 
 
 def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
@@ -170,125 +150,146 @@ def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
     return minors
 
 
-def check_det_formulas(which: str, n_max: int | None = None,
-                       k_max: int | None = None, a_values=None) -> VerificationReport:
-    """Determinant sweeps.
-
-    "P1"/"P2": det of every shifted window is 1.  "M2": leading minors
-    follow the signed digit-sum product.  "M1": |det| of shifted windows
-    of M1(a) matches the |a|^(s2(i+k)-s2(i)) product; the observed sign
-    sequence is recorded as data, not predicted.
-    """
-    t0 = time.time()
-    if which in ("P1", "P2"):
-        n_max = 12 if n_max is None else n_max
-        k_max = 64 if k_max is None else k_max
-        fam = families.P1(1) if which == "P1" else families.P2
-        report = VerificationReport(
-            f"det-{which.lower()}", f"n <= {n_max}, k <= {k_max}")
+def _unimodular(fam):
+    """det of every shifted window of fam is 1."""
+    def sweep(report, n_max, k_max):
         for k in range(k_max + 1):
             _minor_sweep(report, fam, n_max, k, lambda n: 1, f"k={k}")
-    elif which == "M2":
-        n_max = 64 if n_max is None else n_max
-        report = VerificationReport("det-m2", f"n <= {n_max}")
-        # running product of (-1)^{s2(i)} over i < n
-        expected = []
-        product = 1
-        for i in range(n_max):
-            product *= (-1) ** sequences.s2(i)
-            expected.append(product)
-        minors = _minor_sweep(report, families.M2, n_max, 0,
-                              lambda n: expected[n - 1], "M2")
+    return sweep
+
+
+def _det_m1a(report, a, n_max, k_max):
+    """|det| of shifted windows of M1(a) matches the |a|^(s2(i+k)-s2(i))
+    product for nonzero a; the observed signs are recorded as data."""
+    signs = {}
+    for x in _nonzero(a):
+        for k in range(k_max + 1):
+            def expected(n, x=x, k=k):
+                e = sum(sequences.s2(i + k) - sequences.s2(i) for i in range(n))
+                return abs(x) ** e
+
+            minors = _minor_sweep(report, families.M1(x), n_max, k,
+                                  expected, f"a={x}, k={k}", abs)
+            if minors is not None:
+                signs[f"a={x},k={k}"] = [1 if d > 0 else -1 for d in minors]
+    report.data["signs"] = signs
+
+
+def _leading_minors(fam, expected_fn, key=lambda d: d):
+    """key(minor of order n) == expected_fn(n) for the leading minors of
+    fam; the minors are kept as data."""
+    def sweep(report, n_max):
+        minors = _minor_sweep(report, fam, n_max, 0, expected_fn,
+                              families.family_name(fam), key)
         if minors is not None:
             report.data["signs"] = minors
-    elif which == "M1":
-        n_max = 10 if n_max is None else n_max
-        k_max = 32 if k_max is None else k_max
-        a_values = (1, -1, 2, -2, 3, -3) if a_values is None else tuple(a_values)
-        report = VerificationReport(
-            "det-m1a", f"n <= {n_max}, k <= {k_max}, a in {a_values}",
-            notes="Sign is recorded as data; only |det| is predicted.")
-        signs = {}
-        for a in a_values:
-            if a == 0:
-                raise ValueError("a must be nonzero")
-            for k in range(k_max + 1):
-                def expected(n, a=a, k=k):
-                    e = sum(sequences.s2(i + k) - sequences.s2(i)
-                            for i in range(n))
-                    return abs(a) ** e
-
-                minors = _minor_sweep(report, families.M1(a), n_max, k,
-                                      expected, f"a={a}, k={k}", abs)
-                if minors is not None:
-                    signs[f"a={a},k={k}"] = [1 if d > 0 else -1 for d in minors]
-        report.data["signs"] = signs
-    else:
-        raise ValueError(f"unknown determinant sweep: {which!r}")
-    report.elapsed = time.time() - t0
-    return report
+    return sweep
 
 
-def check_hankel_minors(which: str, n_max: int = 40,
-                        anti_k_max: int = 6) -> VerificationReport:
-    """|det| == 1 for all leading minors of H1 or H2; for H2 additionally
-    the anti-triangular structure of the 2^k - 1 windows."""
-    t0 = time.time()
-    if which not in ("H1", "H2"):
-        raise ValueError("Hankel sweep applies to H1 or H2")
-    fam = families.H1 if which == "H1" else families.H2
-    report = VerificationReport(
-        f"hankel-{which.lower()}", f"n <= {n_max}"
-        + (f", anti-triangular k <= {anti_k_max}" if which == "H2" else ""))
-    minors = _minor_sweep(report, fam, n_max, 0, lambda n: 1, which, abs)
-    if minors is not None:
-        report.data["signs"] = minors
-    if which == "H2":
-        gen = families.entry_fn(families.H2)
-        for k in range(1, anti_k_max + 1):
-            n = 2 ** k - 1
-            report.checked += 1
-            bad = None
-            for i in range(n):
-                for j in range(n):
-                    e = gen(i, j)
-                    if i + j == n - 1 and e != 1:
-                        bad = (i, j, 1, e)
-                    elif i + j > n - 1 and e != 0:
-                        bad = (i, j, 0, e)
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                i, j, want, got = bad
-                report.fail(f"anti-triangular n={n}, entry ({i},{j})", want, got)
-    report.elapsed = time.time() - t0
-    return report
+def _hankel_h2(report, n_max, anti_k_max):
+    """The H2 minors, plus the anti-triangular structure of its 2^k - 1
+    windows: ones on the anti-diagonal, zeros below it."""
+    _leading_minors(families.H2, lambda n: 1, abs)(report, n_max)
+    gen = families.entry_fn(families.H2)
+    for k in range(1, anti_k_max + 1):
+        n = 2 ** k - 1
+        report.checked += 1
+        bad = next(((i, j) for i in range(n) for j in range(n - 1 - i, n)
+                    if gen(i, j) != (i + j == n - 1)), None)
+        if bad:
+            i, j = bad
+            report.fail(f"anti-triangular n={n}, entry ({i},{j})",
+                        int(i + j == n - 1), gen(i, j))
 
 
-CHECKS = {
-    "item1": check_item1_gram,
-    "item2": check_item2_power,
-    "group-law-p1": lambda **kw: check_group_law("P1", **kw),
-    "group-law-m1": lambda **kw: check_group_law("M1", **kw),
-    "lemma1": check_lemma1_factorization,
-    "det-p1": lambda **kw: check_det_formulas("P1", **kw),
-    "det-p2": lambda **kw: check_det_formulas("P2", **kw),
-    "det-m2": lambda **kw: check_det_formulas("M2", **kw),
-    "det-m1a": lambda **kw: check_det_formulas("M1", **kw),
-    "hankel-h1": lambda **kw: check_hankel_minors("H1", **kw),
-    "hankel-h2": lambda **kw: check_hankel_minors("H2", **kw),
+@dataclass(frozen=True)
+class Identity:
+    """sweep(report, **grid) checks the identity on a grid; grid holds the
+    defaults, and its keys are the only options it accepts; describe(**grid)
+    is the report's parameter_grid; notes say why windowing is sound."""
+
+    sweep: Callable
+    grid: dict
+    describe: Callable
+    notes: str = ""
+
+
+_A_DEFAULT = tuple(range(-5, 6))
+_TRIANGULAR = "Products of upper triangular matrices commute with windowing."
+
+IDENTITIES = {
+    "item1": Identity(
+        _item1, {"n_max": 32}, "n <= {n_max}".format,
+        "Gram entries sum over l <= min(i,j), so windowing is exact."),
+    "item2": Identity(
+        _item2, {"a": _A_DEFAULT, "n_max": 16},
+        lambda a, n_max: f"a in {_a_text(a)} \\ {{0}}, n <= {n_max}",
+        "Powers of upper triangular matrices commute with windowing."),
+    "group-law-p1": Identity(
+        _group_law("P1"), {"a": _A_DEFAULT, "n_max": 64},
+        lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
+    "group-law-m1": Identity(
+        _group_law("M1"), {"a": _A_DEFAULT, "n_max": 64},
+        lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
+    "lemma1": Identity(
+        _lemma1, {"n_max": 64}, "n <= {n_max}".format,
+        "Summation index l <= min(i,j), so windowing is exact."),
+    "det-p1": Identity(
+        _unimodular(families.P1(1)), {"n_max": 12, "k_max": 64},
+        "n <= {n_max}, k <= {k_max}".format),
+    "det-p2": Identity(
+        _unimodular(families.P2), {"n_max": 12, "k_max": 64},
+        "n <= {n_max}, k <= {k_max}".format),
+    # M2's minor of order n is the product of (-1)^s2(i) over i < n
+    "det-m2": Identity(
+        _leading_minors(families.M2, lambda n: (-1) ** sum(map(sequences.s2, range(n)))),
+        {"n_max": 64}, "n <= {n_max}".format),
+    "det-m1a": Identity(
+        _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
+        lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {_nonzero(a)}",
+        "Sign is recorded as data; only |det| is predicted."),
+    "hankel-h1": Identity(
+        _leading_minors(families.H1, lambda n: 1, abs), {"n_max": 40},
+        "n <= {n_max}".format),
+    "hankel-h2": Identity(
+        _hankel_h2, {"n_max": 40, "anti_k_max": 6},
+        "n <= {n_max}, anti-triangular k <= {anti_k_max}".format),
 }
+
+class GridError(ValueError):
+    """An unknown identity, an option its grid lacks, or a grid that
+    would check nothing: a usage error, not a failed verification."""
+
+
+def _run(identity_id: str, options: dict) -> VerificationReport:
+    t0 = time.perf_counter()
+    identity = IDENTITIES.get(identity_id)
+    if identity is None:
+        raise GridError(f"unknown identity: {identity_id!r}; "
+                        f"known: {', '.join(sorted(IDENTITIES))}")
+    unknown = sorted(set(options) - set(identity.grid))
+    if unknown:
+        raise GridError(f"{identity_id} takes no option {', '.join(unknown)}; "
+                        f"its grid is {', '.join(identity.grid)}")
+    grid = {**identity.grid, **options}
+    if grid["n_max"] < 1:
+        raise GridError(f"n_max must be at least 1, got {grid['n_max']}")
+    report = VerificationReport(identity_id, identity.describe(**grid),
+                                notes=identity.notes)
+    identity.sweep(report, **grid)
+    if not report.checked:
+        raise GridError(f"{identity_id}: the grid {report.parameter_grid} checks nothing")
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 def run_check(identity_id: str, **options) -> VerificationReport:
-    if identity_id not in CHECKS:
-        raise ValueError(f"unknown identity: {identity_id!r}; "
-                         f"known: {', '.join(sorted(CHECKS))}")
-    return CHECKS[identity_id](**options)
+    """Check one identity on its default grid updated by options."""
+    return _run(identity_id, options)
 
 
 def run_all() -> list:
-    """Every identity at its default grid, in fixed order."""
-    return [CHECKS[name]() for name in CHECKS]
+    """Every identity at its default grid, in registry order."""
+    # through _run, not run_check: a wrapper that sums `checked` over both
+    # run_check and run_all would otherwise count these reports twice
+    return [_run(name, {}) for name in IDENTITIES]

@@ -21,34 +21,33 @@ def report(name, ok, elapsed):
 
 def test_criterion_1_group_law():
     t0 = time.time()
-    pairs = [(a, b) for a in range(-5, 6) for b in range(-5, 6)]
-    r = verify.check_group_law("M1", pairs=pairs, n_max=64)
+    r = verify.run_check("group-law-m1", a=tuple(range(-5, 6)), n_max=64)
     report("criterion 1: M1 group law, a,b in [-5,5], n <= 64", r.passed,
            time.time() - t0)
 
 
 def test_criterion_2_factorization():
     t0 = time.time()
-    r = verify.check_lemma1_factorization(n_max=128)
+    r = verify.run_check("lemma1", n_max=128)
     report("criterion 2: M1^T diag((-1)^t_i) M1 == M2, n <= 128", r.passed,
            time.time() - t0)
 
 
 def test_criterion_3_determinants():
     t0 = time.time()
-    ok = (verify.check_det_formulas("P1", n_max=12, k_max=64).passed
-          and verify.check_det_formulas("P2", n_max=12, k_max=64).passed
-          and verify.check_det_formulas("M2", n_max=64).passed
-          and verify.check_det_formulas("M1", n_max=10, k_max=32,
-                                        a_values=(1, -1, 2, -2, 3, -3)).passed)
+    ok = (verify.run_check("det-p1", n_max=12, k_max=64).passed
+          and verify.run_check("det-p2", n_max=12, k_max=64).passed
+          and verify.run_check("det-m2", n_max=64).passed
+          and verify.run_check("det-m1a", n_max=10, k_max=32,
+                               a=(1, -1, 2, -2, 3, -3)).passed)
     report("criterion 3: determinant formulas (P1, P2, M2, M1(a))", ok,
            time.time() - t0)
 
 
 def test_criterion_4_hankel_minors():
     t0 = time.time()
-    ok = (verify.check_hankel_minors("H1", n_max=40).passed
-          and verify.check_hankel_minors("H2", n_max=40, anti_k_max=6).passed)
+    ok = (verify.run_check("hankel-h1", n_max=40).passed
+          and verify.run_check("hankel-h2", n_max=40, anti_k_max=6).passed)
     report("criterion 4: Hankel minors +-1 (n <= 40) and anti-diagonal "
            "structure (k <= 6)", ok, time.time() - t0)
 

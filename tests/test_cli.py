@@ -66,6 +66,14 @@ PINNED_STDOUT = {
         "b95dc2cc9c8fcdbba0f5c7f37e6a32b1daf70ad59870049b648ac5d8677772c2",
     "verify hankel-h1 --n-max 80 --json":
         "f8507747728b97e306224964d9e70e3d56f2c1fc765d2f8455153bca5e9ae958",
+    "verify all --json":
+        "c6ad1e27dd372683e0ac4fbe299fdbdc72b74eab1d409d92b188c29cd32ad238",
+    "verify group-law-m1 --a-range=-2:2 --n-max 8 --json":
+        "cc307c7dcf388684c35196449b48aa84e70c72287dd7867a448b988dfd062412",
+    "verify det-m1a --a-range=-2:2 --json":
+        "fb1208fd4b096b58d0694d111f13b1a1ea793eb0503b65a47147c50962f9090b",
+    "verify item2 --a-range=-3:3 --n-max 12 --json":
+        "0027b17755040f57d193ce0d13bc54d54468c98e32c929706141fe74a6567976",
 }
 
 
@@ -117,12 +125,12 @@ def test_verify_all_passes():
 def test_verify_failure_exit_code(monkeypatch):
     from pascalhankel import verify as v
 
-    def broken(**kw):
-        report = v.VerificationReport("broken", "n=1")
+    def broken(report, n_max):
+        report.checked += 1
         report.fail("n=1", 0, 1)
-        return report
 
-    monkeypatch.setitem(v.CHECKS, "item1", broken)
+    monkeypatch.setitem(v.IDENTITIES, "item1",
+                        v.Identity(broken, {"n_max": 1}, "n <= {n_max}".format))
     code, out = run(["verify", "item1"])
     assert code == 1
     assert "FAIL" in out
@@ -198,10 +206,47 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run(["frobnicate"])
     assert code == 2
-
-
-def test_internal_error_exit_code():
     code, _ = run(["matrix", "det", "--family", "P3", "--n", "2"])
-    assert code == 3
+    assert code == 2
+    code, _ = run(["net", "t-value", "--p", "3", "--dims", "M1:a=0,Q7", "--m-max", "2"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "item1 --k-max 3",            # options the identity's grid lacks
+    "det-p1 --a-range=1:2",
+    "hankel-h1 --a-range=1:2",
+    "hankel-h2 --k-max 3",
+    "all --n-max 8",              # grid flags with 'all'
+    "no-such-identity",
+    "item2 --a-range=5",          # malformed range
+    "item2 --a-range=1:x",
+    "lemma1 --n-max 0",           # grids that check nothing
+    "det-p1 --n-max -1",
+    "det-p1 --k-max -1",
+    "group-law-p1 --a-range=3:1",
+    "det-m1a --a-range=0:0",
+    "item2 --a-range=0:0",
+])
+def test_verify_usage_error_exit_code(argv, capsys):
+    code, out = run(["verify"] + argv.split())
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
     code, _ = run(["net", "discrepancy", "--input", "/nonexistent/points.csv"])
     assert code == 3
+
+    # an unexpected exception is an internal error too, never exit 1
+    from pascalhankel import sequences
+
+    def crash(kind, i):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(sequences, "value", crash)
+    code, _ = run(["seq", "catalan", "--count", "2"])
+    assert code == 3
+    assert "TypeError: boom" in capsys.readouterr().err

@@ -91,7 +91,7 @@ def test_net_property_detects_bad_sets():
 
 def test_star_discrepancy_dim1():
     def ps(*xs):
-        return net.PointSet(2, 1, tuple((Fraction(x),) for x in xs))
+        return net.PointSet(1, tuple((Fraction(x),) for x in xs))
 
     assert net.star_discrepancy(ps(0, Fraction(1, 2))) == Fraction(1, 2)
     n = 8
@@ -102,14 +102,14 @@ def test_star_discrepancy_dim1():
 
 
 def test_star_discrepancy_dim2():
-    one_origin = net.PointSet(2, 2, ((Fraction(0), Fraction(0)),))
+    one_origin = net.PointSet(2, ((Fraction(0), Fraction(0)),))
     assert net.star_discrepancy(one_origin) == 1
-    centered = net.PointSet(2, 2, ((Fraction(1, 2), Fraction(1, 2)),))
+    centered = net.PointSet(2, ((Fraction(1, 2), Fraction(1, 2)),))
     assert net.star_discrepancy(centered) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        net.star_discrepancy(net.PointSet(2, 3, ((Fraction(0),) * 3,)))
+        net.star_discrepancy(net.PointSet(3, ((Fraction(0),) * 3,)))
     with pytest.raises(ValueError):
-        net.star_discrepancy(net.PointSet(2, 1, ()))
+        net.star_discrepancy(net.PointSet(1, ()))
 
 
 def test_star_discrepancy_dim2_dominates_sampled_boxes():
@@ -118,7 +118,7 @@ def test_star_discrepancy_dim2_dominates_sampled_boxes():
         n = rng.randint(2, 8)
         pts = tuple((Fraction(rng.randrange(16), 16), Fraction(rng.randrange(16), 16))
                     for _ in range(n))
-        d = net.star_discrepancy(net.PointSet(2, 2, pts))
+        d = net.star_discrepancy(net.PointSet(2, pts))
         grid = [Fraction(k, 16) for k in range(17)]
         sampled = Fraction(0)
         for a in grid:
@@ -132,7 +132,7 @@ def test_van_der_corput_discrepancy_envelope():
     import math as _math
     vdc = net.digital_points(gs(2, fam.P1(0)), 1024, 10)
     for n in list(range(1, 257)) + [512, 1024]:
-        ps = net.PointSet(2, 1, vdc.points[:n])
+        ps = net.PointSet(1, vdc.points[:n])
         d = net.star_discrepancy(ps)
         # sanity envelope, not a theorem check: D*_N <= (log N + 1)/N
         assert float(d) <= (_math.log(n) + 1.0) / n

@@ -9,15 +9,19 @@ from pascalhankel import exact, families, sequences, verify
 
 
 def test_item1_gram():
-    report = verify.check_item1_gram(n_max=32)
+    report = verify.run_check("item1", n_max=32)
     assert report.passed
     assert report.checked == 32
 
 
 def test_item2_power():
-    report = verify.check_item2_power(a_range=(-3, 3), n_max=12)
+    report = verify.run_check("item2", a=tuple(range(-3, 4)), n_max=12)
     assert report.passed
     assert report.checked == 6 * 12
+    assert report.parameter_grid == "a in [-3,3] \\ {0}, n <= 12"
+    report = verify.run_check("item2", a=(3, -1), n_max=4)
+    assert report.checked == 2 * 4
+    assert report.parameter_grid == "a in (3, -1) \\ {0}, n <= 4"
 
 
 def test_item2_smallest_cases():
@@ -28,9 +32,10 @@ def test_item2_smallest_cases():
 
 
 def test_group_law_m1_small():
-    report = verify.check_group_law("M1", pairs=[(1, 1), (2, -2), (0, 3)], n_max=16)
+    # a x a holds the pairs (1, 1), (2, -2) and (0, 3)
+    report = verify.run_check("group-law-m1", a=(-2, 0, 1, 2, 3), n_max=16)
     assert report.passed
-    assert report.checked == 3 * 16
+    assert report.checked == 5 * 5 * 16
 
 
 def test_group_law_m1_inverse_pairs_give_identity():
@@ -41,7 +46,7 @@ def test_group_law_m1_inverse_pairs_give_identity():
 
 
 def test_group_law_p1():
-    report = verify.check_group_law("P1", pairs=[(2, 3), (1, -1)], n_max=8)
+    report = verify.run_check("group-law-p1", a=(-1, 1, 2, 3), n_max=8)
     assert report.passed
     assert exact.mat_mul(families.window_of(families.P1(2), 8),
                          families.window_of(families.P1(3), 8)) == \
@@ -50,11 +55,11 @@ def test_group_law_p1():
 
 def test_group_law_rejects_other_families():
     with pytest.raises(ValueError):
-        verify.check_group_law("P2")
+        verify.run_check("group-law-p2")
 
 
 def test_lemma1():
-    report = verify.check_lemma1_factorization(n_max=64)
+    report = verify.run_check("lemma1", n_max=64)
     assert report.passed
     # smallest nontrivial case by hand
     m1 = families.window_of(families.M1(1), 2)
@@ -64,12 +69,12 @@ def test_lemma1():
 
 
 def test_det_formulas_pascal():
-    assert verify.check_det_formulas("P1", n_max=8, k_max=16).passed
-    assert verify.check_det_formulas("P2", n_max=8, k_max=16).passed
+    assert verify.run_check("det-p1", n_max=8, k_max=16).passed
+    assert verify.run_check("det-p2", n_max=8, k_max=16).passed
 
 
 def test_det_formulas_m2():
-    report = verify.check_det_formulas("M2", n_max=64)
+    report = verify.run_check("det-m2", n_max=64)
     assert report.passed
     assert exact.determinant(families.window_of(families.M2, 3)) == 1
     # sign sequence equals partial products of (-1)^{t_i}
@@ -81,13 +86,13 @@ def test_det_formulas_m2():
 
 
 def test_det_formulas_m1a():
-    report = verify.check_det_formulas("M1", n_max=6, k_max=8, a_values=(1, -2, 3))
+    report = verify.run_check("det-m1a", n_max=6, k_max=8, a=(1, -2, 3))
     assert report.passed
     assert abs(exact.determinant(families.window_of(families.M1(2), 2, 2, 1))) == 2
 
 
 def test_det_formulas_m1a_reduces_to_unimodular_at_a1():
-    report = verify.check_det_formulas("M1", n_max=12, k_max=64, a_values=(1,))
+    report = verify.run_check("det-m1a", n_max=12, k_max=64, a=(1,))
     assert report.passed
     for signs in report.data["signs"].values():
         assert set(signs) <= {1, -1}
@@ -95,12 +100,12 @@ def test_det_formulas_m1a_reduces_to_unimodular_at_a1():
 
 def test_det_formulas_unknown():
     with pytest.raises(ValueError):
-        verify.check_det_formulas("H1")
+        verify.run_check("det-h1")
 
 
 def test_hankel_minors():
-    r1 = verify.check_hankel_minors("H1", n_max=24)
-    r2 = verify.check_hankel_minors("H2", n_max=24, anti_k_max=5)
+    r1 = verify.run_check("hankel-h1", n_max=24)
+    r2 = verify.run_check("hankel-h2", n_max=24, anti_k_max=5)
     assert r1.passed and r2.passed
     assert exact.determinant(families.window_of(families.H1, 2)) == -1
     assert abs(exact.determinant(families.window_of(families.H2, 3))) == 1
@@ -113,7 +118,7 @@ def test_ldu_of_m2_diagonal_is_thue_morse_signs():
 
 
 def test_report_structure():
-    report = verify.check_item1_gram(n_max=4)
+    report = verify.run_check("item1", n_max=4)
     d = report.to_dict()
     assert d["passed"] is True
     assert d["failures"] == []
@@ -134,3 +139,16 @@ def test_run_check_registry():
     assert verify.run_check("item1", n_max=4).passed
     with pytest.raises(ValueError):
         verify.run_check("no-such-identity")
+    # options outside the identity's grid, and grids that check nothing
+    for identity_id, options in [("item1", {"k_max": 3}), ("hankel-h1", {"a": (1,)}),
+                                 ("det-p1", {"n_max": 0}), ("det-p1", {"k_max": -1}),
+                                 ("item2", {"a": (0,)}), ("group-law-m1", {"a": ()})]:
+        with pytest.raises(verify.GridError):
+            verify.run_check(identity_id, **options)
+
+
+def test_run_all_does_not_call_run_check(monkeypatch):
+    # a wrapper around run_check must not see run_all's reports a second time
+    monkeypatch.setattr(verify, "IDENTITIES", {"item1": verify.IDENTITIES["item1"]})
+    monkeypatch.setattr(verify, "run_check", lambda *a, **kw: pytest.fail("called"))
+    assert [r.identity_id for r in verify.run_all()] == ["item1"]
