@@ -37,6 +37,22 @@ def _a_range(text: str) -> tuple:
     return tuple(range(lo, hi + 1))
 
 
+def _int_type(ok, wanted: str):
+    """argparse type: an int for which ok(value) holds."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse rejects non-integers as an "invalid int value"
+    return parse
+
+
+_nonnegative = _int_type(lambda value: value >= 0, "an integer >= 0")
+_positive = _int_type(lambda value: value >= 1, "an integer >= 1")
+_prime = _int_type(exact.is_prime, "a prime")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pascalhankel",
@@ -50,13 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ms = msub.add_parser(name)
         ms.add_argument("--family", type=_family, required=True,
                         help="P1[:a=A], M1[:a=A], P2, M2, H1, H2")
-        ms.add_argument("--n", type=int, required=True)
-        ms.add_argument("--m", type=int, default=None)
-        ms.add_argument("--k", type=int, default=0)
+        ms.add_argument("--n", type=_nonnegative, required=True)
+        ms.add_argument("--m", type=_nonnegative, default=None)
+        ms.add_argument("--k", type=_nonnegative, default=0)
         if name == "show":
             ms.add_argument("--format", choices=("json", "csv"), default="csv")
         if name == "rank":
-            ms.add_argument("--p", type=int, required=True)
+            ms.add_argument("--p", type=_prime, required=True)
 
     v = sub.add_parser("verify", help="run identity verifications")
     v.add_argument("identity", help="identity id or 'all'")
@@ -70,34 +86,34 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = c.add_subparsers(dest="action", required=True)
     ce = csub.add_parser("expand")
     ce.add_argument("--series", choices=("L1", "L2"), required=True)
-    ce.add_argument("--coeffs", type=int, required=True)
-    ce.add_argument("--quotients", type=int, required=True)
+    ce.add_argument("--coeffs", type=_positive, required=True)
+    ce.add_argument("--quotients", type=_nonnegative, required=True)
     ce.add_argument("--json", action="store_true")
 
     s = sub.add_parser("seq", help="dump a sequence prefix")
     s.add_argument("kind", choices=sequences.SEQUENCE_KINDS)
-    s.add_argument("--count", type=int, required=True)
+    s.add_argument("--count", type=_positive, required=True)
 
     n = sub.add_parser("net", help="digital (t,s)-sequence tools")
     nsub = n.add_subparsers(dest="action", required=True)
     nt = nsub.add_parser("t-value")
-    nt.add_argument("--p", type=int, required=True)
+    nt.add_argument("--p", type=_prime, required=True)
     nt.add_argument("--dims", type=_dims, required=True, help="comma-separated families")
-    nt.add_argument("--m-max", type=int, required=True)
+    nt.add_argument("--m-max", type=_positive, required=True)
     nt.add_argument("--json", action="store_true")
     np_ = nsub.add_parser("points")
-    np_.add_argument("--p", type=int, required=True)
+    np_.add_argument("--p", type=_prime, required=True)
     np_.add_argument("--dims", type=_dims, required=True)
-    np_.add_argument("--m", type=int, required=True)
-    np_.add_argument("--n", type=int, required=True)
+    np_.add_argument("--m", type=_nonnegative, required=True)
+    np_.add_argument("--n", type=_nonnegative, required=True, help="at most p^m points")
     np_.add_argument("--format", choices=("csv",), default="csv")
     nd = nsub.add_parser("discrepancy")
     nd.add_argument("--input", required=True, help="points CSV, rationals as num/den")
     ns = nsub.add_parser("search")
-    ns.add_argument("--p", type=int, default=3)
-    ns.add_argument("--m-max", type=int, default=4)
+    ns.add_argument("--p", type=_prime, default=3)
+    ns.add_argument("--m-max", type=_positive, default=4)
     ns.add_argument("--candidates", choices=("m1", "random"), default="m1")
-    ns.add_argument("--budget", type=int, required=True)
+    ns.add_argument("--budget", type=_positive, required=True)
     ns.add_argument("--seed", type=int, default=0)
     ns.add_argument("--json", action="store_true")
     return parser
@@ -209,6 +225,8 @@ def run(argv, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.verb == "net" and args.action == "points" and args.n > args.p ** args.m:
+            parser.error(f"cannot place {args.n} points at depth {args.m} in base {args.p}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -323,23 +323,5 @@ def to_json(a: ExactMatrix) -> str:
     return json.dumps(to_json_dict(a))
 
 
-def from_json_dict(d: dict) -> ExactMatrix:
-    rows = [[int(x) for x in row] for row in d["entries"]]
-    m = ExactMatrix.from_rows(rows)
-    if m.rows != d["rows"] or m.cols != d["cols"]:
-        raise ValueError("declared dimensions do not match entries")
-    return m
-
-
-def from_json(text: str) -> ExactMatrix:
-    return from_json_dict(json.loads(text))
-
-
 def to_csv(a: ExactMatrix) -> str:
     return "\n".join(",".join(str(x) for x in a.row(i)) for i in range(a.rows))
-
-
-def from_csv(text: str) -> ExactMatrix:
-    rows = [[int(x) for x in line.split(",")]
-            for line in text.strip().splitlines() if line.strip()]
-    return ExactMatrix.from_rows(rows)

@@ -1,9 +1,13 @@
 """Truncated formal Laurent series over Q and their simple continued
 fractions with polynomial partial quotients.
 
-Precision is tracked explicitly: arithmetic never claims coefficients the
-inputs cannot certify, and the expansion engine stops (setting a flag)
-rather than emit an uncertified quotient.
+One kernel, exact polynomial long division (`divmod` on `Poly`), does
+the work: a fractional part known to N coefficients is R/X^N, and its
+continued fraction is the Euclidean algorithm on (X^N, R).  Precision is
+tracked by degree: a quotient of degree d consumes 2d known
+coefficients, so A_1, ..., A_k are certified while
+2 (deg A_1 + ... + deg A_k) <= N, and the expansion stops (setting a
+flag) rather than emit an uncertified quotient.
 """
 
 from __future__ import annotations
@@ -52,6 +56,20 @@ class Poly:
                 for j, y in enumerate(other.coeffs):
                     out[i + j] += x * y
         return Poly.make(out)
+
+    def __divmod__(self, other: "Poly") -> tuple:
+        """Quotient and remainder of long division, exact over Q."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        d, lead = other.degree, other.coeffs[-1]
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(0, len(rem) - d)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = rem[k + d] / lead
+            if c:
+                for j, y in enumerate(other.coeffs[:d]):
+                    rem[k + j] -= c * y
+        return Poly.make(quot), Poly.make(rem[:d])
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -128,58 +146,36 @@ def build_L(which: str, num_coeffs: int) -> LaurentSeries:
     return LaurentSeries.make(-1, coeffs)
 
 
-def _reciprocal(coeffs: list) -> list:
-    """First len(coeffs) coefficients of 1/u for u = sum coeffs[i] t^i,
-    coeffs[0] != 0."""
-    c0 = coeffs[0]
-    out = [Fraction(1) / c0]
-    for i in range(1, len(coeffs)):
-        s = sum(coeffs[j] * out[i - j] for j in range(1, i + 1))
-        out.append(-s / c0)
-    return out
-
-
 def cf_expand(s: LaurentSeries, max_quotients: int) -> CFExpansion:
     """Simple continued fraction of a Laurent series.
 
-    Repeatedly extracts the polynomial part as the next quotient and
-    inverts the remainder by truncated power-series division.  Stops when
-    the remaining precision cannot certify another quotient, setting
-    exhausted_precision instead of guessing.
+    The polynomial part of the series is the integer part.  The
+    fractional part, known through X^(-N), is R/X^N, and the partial
+    quotients are those of the Euclidean algorithm on (X^N, R).  After k
+    steps the divisor has degree N - (deg A_1 + ... + deg A_k), so A_k is
+    certified while 2 (deg A_1 + ... + deg A_k) <= N, i.e. while twice the
+    divisor's degree is at least N.  The first quotient that fails this,
+    or a zero remainder (which cannot be told from an unknown tail), stops
+    the expansion with exhausted_precision set instead of guessing.
     """
     top = s.start_exponent
-    coeffs = [Fraction(x) for x in s.coeffs]
-    if all(c == 0 for c in coeffs):
+    if not any(s.coeffs):
         raise ValueError("cannot expand the zero series")
-    if top >= 0:
-        if len(coeffs) <= top:
-            raise ValueError("insufficient precision for the integer part")
-        integer_part = Poly.make(list(reversed(coeffs[:top + 1])))
-        coeffs = coeffs[top + 1:]
-        top = -1
-    else:
-        integer_part = POLY_ZERO
+    if s.precision <= top:
+        raise ValueError("insufficient precision for the integer part")
+    split = max(top + 1, 0)
+    integer_part = Poly.make(reversed(s.coeffs[:split]))
+    fraction = [0] * max(-1 - top, 0) + list(s.coeffs[split:])
+    n = len(fraction)
+    a, b = Poly.make([0] * n + [1]), Poly.make(reversed(fraction))
     quotients = []
-    exhausted = False
     while len(quotients) < max_quotients:
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            top -= 1
-        if not coeffs:
-            # remaining known coefficients all vanish; cannot distinguish
-            # termination from an unknown tail
-            exhausted = True
-            break
-        e = top  # leading exponent, <= -1
-        if -e + 1 > len(coeffs):
-            exhausted = True
-            break
-        inv = _reciprocal(coeffs)
-        # reciprocal has leading exponent -e; polynomial part spans -e..0
-        quotients.append(Poly.make(list(reversed(inv[:-e + 1]))))
-        coeffs = inv[-e + 1:]
-        top = -1
-    return CFExpansion(integer_part, tuple(quotients), exhausted)
+        if 2 * b.degree < n:  # also b = 0, of degree -1
+            return CFExpansion(integer_part, tuple(quotients), True)
+        quotient, remainder = divmod(a, b)
+        quotients.append(quotient)
+        a, b = b, remainder
+    return CFExpansion(integer_part, tuple(quotients), False)
 
 
 def convergent(cf: CFExpansion, upto: int):
@@ -196,17 +192,17 @@ def convergent(cf: CFExpansion, upto: int):
 
 
 def series_of_fraction(p: Poly, q: Poly, num_coeffs: int) -> LaurentSeries:
-    """Laurent expansion of P/Q around infinity, num_coeffs terms."""
+    """Laurent expansion of P/Q around infinity, num_coeffs terms: the
+    polynomial part of X^shift P/Q, whose degree shift + deg P - deg Q is
+    num_coeffs - 1."""
+    if num_coeffs < 1:
+        raise ValueError("need at least one coefficient")
     if q.is_zero():
         raise ZeroDivisionError("zero denominator")
     if p.is_zero():
         return LaurentSeries.make(-1, [0] * num_coeffs)
     top = p.degree - q.degree
-    # reverse into power series in t = 1/X and divide
-    prev = list(reversed(p.coeffs)) + [Fraction(0)] * (num_coeffs - 1)
-    qrev = list(reversed(q.coeffs))
-    qinv = _reciprocal(qrev[:num_coeffs] + [Fraction(0)] * max(0, num_coeffs - len(qrev)))
-    out = []
-    for i in range(num_coeffs):
-        out.append(sum(prev[j] * qinv[i - j] for j in range(i + 1)))
-    return LaurentSeries.make(top, out)
+    shift = num_coeffs - 1 - top
+    quotient, _ = divmod(Poly.make([0] * max(shift, 0) + list(p.coeffs)),
+                         Poly.make([0] * max(-shift, 0) + list(q.coeffs)))
+    return LaurentSeries.make(top, reversed(quotient.coeffs))

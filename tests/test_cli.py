@@ -74,6 +74,13 @@ PINNED_STDOUT = {
         "fb1208fd4b096b58d0694d111f13b1a1ea793eb0503b65a47147c50962f9090b",
     "verify item2 --a-range=-3:3 --n-max 12 --json":
         "0027b17755040f57d193ce0d13bc54d54468c98e32c929706141fe74a6567976",
+    # continued fractions, text mode: every quotient and the exhaustion line
+    "cf expand --series L1 --coeffs 161 --quotients 1000":
+        "13f4024ce1c2dace184dfb8bbc9632ce3e6ed56b13335911e058045e7fb5a150",
+    "cf expand --series L2 --coeffs 161 --quotients 1000":
+        "29234ab81cfddec948d2f13f89d1372f09701bfe6565ad7772c9c38b4f4e9289",
+    "cf expand --series L2 --coeffs 60 --quotients 12":
+        "d0b3e519835651eedba4a6624f007bc3929ac8de893614d72246303fc39da1df",
 }
 
 
@@ -236,8 +243,35 @@ def test_verify_usage_error_exit_code(argv, capsys):
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "matrix det --family M2 --n -1",        # negative sizes
+    "matrix show --family M2 --n 2 --k -1",
+    "matrix rank --family M2 --n 3 --p 4",  # non-prime bases
+    "net t-value --p 4 --dims P1 --m-max 2",
+    "net search --p 4 --budget 1",
+    "net points --p 2 --dims P1 --m 2 --n 9",  # more points than p^m
+    "cf expand --series L1 --coeffs 0 --quotients 3",
+    "cf expand --series L1 --coeffs 5 --quotients -1",
+    "net t-value --p 3 --dims P1 --m-max 0",
+    "seq catalan --count -3",               # counts that dump or check nothing
+    "seq catalan --count 0",
+    "net search --budget -1",
+    "net search --budget 0",
+    "matrix det --family M2 --n x",
+])
+def test_out_of_range_argument_exit_code(argv, capsys):
+    code, out = run(argv.split())
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     code, _ = run(["net", "discrepancy", "--input", "/nonexistent/points.csv"])
+    assert code == 3
+    # a ValueError from inside the program is internal, not a usage mistake
+    code, _ = run(["matrix", "show", "--family", "P1:a=10", "--n", "2", "--k", "5000"])
     assert code == 3
 
     # an unexpected exception is an internal error too, never exit 1

@@ -252,12 +252,15 @@ def test_window_multiplicativity_for_triangular_families(maker):
 
 
 def test_json_roundtrip():
+    # the exact text `matrix show --format json` prints: entries as strings
     a = ExactMatrix.from_rows([[-12, 3], [10 ** 30, 0]])
     d = exact.to_json_dict(a)
     assert d["entries"][1][0] == str(10 ** 30)
-    assert exact.from_json(exact.to_json(a)) == a
+    assert exact.to_json(a) == \
+        '{"rows": 2, "cols": 2, "entries": [["-12", "3"], ["%d", "0"]]}' % 10 ** 30
 
 
 def test_csv_roundtrip():
+    # the exact text `matrix show` prints: no header, no trailing newline
     a = ExactMatrix.from_rows([[1, -2, 3], [4, 5, -6]])
-    assert exact.from_csv(exact.to_csv(a)) == a
+    assert exact.to_csv(a) == "1,-2,3\n4,5,-6"
