@@ -53,6 +53,26 @@ _positive = _int_type(lambda value: value >= 1, "an integer >= 1")
 _prime = _int_type(exact.is_prime, "a prime")
 
 
+def _point_set(lines) -> net.PointSet:
+    """net discrepancy --input: one point per nonblank line, 1 or 2
+    coordinates num/den in [0, 1).  Bad content is a usage error."""
+    try:
+        pts = [tuple(Fraction(tok) for tok in line.split(","))
+               for line in map(str.strip, lines) if line]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"--input: bad coordinate ({exc})") from None
+    if not pts:
+        raise argparse.ArgumentTypeError("--input: no points")
+    s = len(pts[0])
+    if s not in (1, 2):
+        raise argparse.ArgumentTypeError(f"--input: {s} coordinates per point, expected 1 or 2")
+    for pt in pts:
+        if len(pt) != s or not all(0 <= x < 1 for x in pt):
+            raise argparse.ArgumentTypeError(
+                f"--input: point {','.join(map(str, pt))} is not in [0, 1)^{s}")
+    return net.PointSet(s, tuple(pts))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pascalhankel",
@@ -200,14 +220,7 @@ def _cmd_net(args, out) -> int:
             print(",".join(f"{x.numerator}/{x.denominator}" for x in pt), file=out)
     elif args.action == "discrepancy":
         with open(args.input) as fh:
-            pts = []
-            for line in fh:
-                line = line.strip()
-                if line:
-                    pts.append(tuple(Fraction(tok) for tok in line.split(",")))
-        if not pts:
-            raise ValueError("no points in input")
-        ps = net.PointSet(len(pts[0]), tuple(pts))
+            ps = _point_set(fh)
         print(net.star_discrepancy(ps), file=out)
     elif args.action == "search":
         results = net.search_third_matrix(args.p, args.m_max, args.candidates,
@@ -241,7 +254,7 @@ def run(argv, out=None) -> int:
         if args.verb == "net":
             return _cmd_net(args, out)
         return 2
-    except verify.GridError as exc:
+    except (verify.GridError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, ArithmeticError, IndexError) as exc:

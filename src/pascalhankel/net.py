@@ -32,18 +32,20 @@ class GeneratingSet:
         if len(self.generators) < 1:
             raise ValueError("need at least one generating matrix")
 
-    @property
-    def s(self) -> int:
-        return len(self.generators)
-
-    def matrix(self, dim: int, rows: int, cols: int) -> exact.ExactMatrix:
-        """rows x cols upper-left window of generator dim, reduced mod p."""
-        g = self.generators[dim]
-        if isinstance(g, exact.ExactMatrix):
-            w = g.submatrix(rows, cols)
-        else:
-            w = families.window_of(g, rows, cols)
-        return exact.ExactMatrix(rows, cols, tuple(x % self.p for x in w.entries))
+    def windows(self, m: int) -> list:
+        """Each generator's m x m upper-left window reduced mod p, as lists
+        of rows: the one table the rank tests and the points read."""
+        out = []
+        for g in self.generators:
+            if isinstance(g, exact.ExactMatrix):
+                if g.rows < m or g.cols < m:
+                    raise ValueError(f"explicit generator is {g.rows}x{g.cols}, "
+                                     f"smaller than depth {m}")
+                w = g.submatrix(m)
+            else:
+                w = families.window_of(g, m)
+            out.append([[x % self.p for x in row] for row in w.to_rows()])
+        return out
 
 
 @dataclass(frozen=True)
@@ -64,22 +66,19 @@ def compositions(total: int, parts: int):
         yield tuple(out)
 
 
-def stacked_rank_ok(gs: GeneratingSet, m: int, t: int, composition) -> bool:
-    """Full-row-rank test of the stacked (m-t) x m matrix built from the
-    first d_i rows of each generator window."""
+def stacked_rank_ok(p: int, windows: list, t: int, composition) -> bool:
+    """Full-row-rank test over F_p of the stacked (m-t) x m matrix built
+    from the first d_i rows of each m x m window (GeneratingSet.windows)."""
     composition = tuple(composition)
-    if len(composition) != gs.s or any(d < 0 for d in composition):
+    if len(composition) != len(windows) or any(d < 0 for d in composition):
         raise ValueError("composition must have s nonnegative parts")
+    m = len(windows[0])
     if sum(composition) != m - t:
         raise ValueError("composition must sum to m - t")
-    rows = []
-    for dim, d in enumerate(composition):
-        if d:
-            rows.extend(gs.matrix(dim, d, m).to_rows())
+    rows = [row for w, d in zip(windows, composition) for row in w[:d]]
     if not rows:
         return True
-    stacked = exact.ExactMatrix.from_rows(rows)
-    return exact.rank_mod_p(stacked, gs.p) == m - t
+    return exact.rank_mod_p(exact.ExactMatrix.from_rows(rows), p) == m - t
 
 
 def t_value(gs: GeneratingSet, m_max: int) -> list:
@@ -88,67 +87,47 @@ def t_value(gs: GeneratingSet, m_max: int) -> list:
         raise ValueError("m_max must be positive")
     out = []
     for m in range(1, m_max + 1):
+        windows = gs.windows(m)
         for t in range(m + 1):
-            if all(stacked_rank_ok(gs, m, t, c)
-                   for c in compositions(m - t, gs.s)):
+            if all(stacked_rank_ok(gs.p, windows, t, c)
+                   for c in compositions(m - t, len(windows))):
                 out.append(t)
                 break
     return out
 
 
-def _digit_vectors(gs: GeneratingSet, n: int, m: int, windows: list) -> list:
-    """Per-dimension digit vectors y = C^(m) . digits(n) mod p, least
-    significant digit first."""
-    p = gs.p
-    digits = []
-    v = n
-    for _ in range(m):
-        digits.append(v % p)
-        v //= p
-    return [[sum(c[r][k] * digits[k] for k in range(m)) % p for r in range(m)]
-            for c in windows]
-
-
-def _windows(gs: GeneratingSet, m: int) -> list:
-    return [gs.matrix(dim, m, m).to_rows() for dim in range(gs.s)]
-
-
 def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
-    """First n_points points of the digital sequence at depth m."""
-    if n_points > gs.p ** m:
-        raise ValueError(f"cannot place {n_points} points at depth {m} in base {gs.p}")
+    """First n_points points of the digital sequence at depth m: coordinate
+    i of point n is 0.y_1 ... y_m in base p, y = C_i . digits(n) mod p for
+    the m x m window C_i and the digits of n, least significant first."""
     p = gs.p
-    windows = _windows(gs, m)
+    if n_points > p ** m:
+        raise ValueError(f"cannot place {n_points} points at depth {m} in base {p}")
+    windows = gs.windows(m)
     denom = p ** m
     pts = []
     for n in range(n_points):
+        digits = [n // p ** k % p for k in range(m)]
         coords = []
-        for y in _digit_vectors(gs, n, m, windows):
-            # y_r is the digit of weight p^(-r-1)
+        for c in windows:
             num = 0
-            for d in y:
-                num = num * p + d
+            for row in c:
+                num = num * p + sum(a * b for a, b in zip(row, digits)) % p
             coords.append(Fraction(num, denom))
         pts.append(tuple(coords))
-    return PointSet(gs.s, tuple(pts))
+    return PointSet(len(windows), tuple(pts))
 
 
 def net_property_ok(gs: GeneratingSet, m: int) -> bool:
     """Elementary-interval test: for every composition (d_1..d_s) of m,
-    each of the p^m aligned boxes holds exactly one of the first p^m
-    points."""
+    the boxes (floor(x_1 p^d_1), ..., floor(x_s p^d_s)) of the first p^m
+    points are distinct, so each of the p^m boxes holds exactly one."""
     p = gs.p
-    count = p ** m
-    windows = _windows(gs, m)
-    all_digits = [_digit_vectors(gs, n, m, windows) for n in range(count)]
-    for comp in compositions(m, gs.s):
-        seen = set()
-        for ys in all_digits:
-            box = tuple(tuple(ys[dim][:d]) for dim, d in enumerate(comp))
-            if box in seen:
-                return False
-            seen.add(box)
-        if len(seen) != count:
+    ps = digital_points(gs, p ** m, m)
+    for comp in compositions(m, ps.s):
+        boxes = {tuple(x.numerator * p ** d // x.denominator for x, d in zip(pt, comp))
+                 for pt in ps.points}
+        if len(boxes) != len(ps.points):
             return False
     return True
 

@@ -81,6 +81,15 @@ PINNED_STDOUT = {
         "29234ab81cfddec948d2f13f89d1372f09701bfe6565ad7772c9c38b4f4e9289",
     "cf expand --series L2 --coeffs 60 --quotients 12":
         "d0b3e519835651eedba4a6624f007bc3929ac8de893614d72246303fc39da1df",
+    # digital nets, text mode: t-values, search rankings and point coordinates
+    "net t-value --p 3 --dims M1:a=0,M1:a=1,M1:a=2 --m-max 12":
+        "509c33e6ac3699598fb6eb6c7d0428e12f6c439952278f691cc33e2965120e35",
+    "net search --p 3 --m-max 6 --candidates random --budget 20 --seed 1":
+        "19b3ec2de65d14608f697ba48cb628bf90aa1866c329b2295ec682715a85638b",
+    "net search --p 3 --m-max 5 --candidates m1 --budget 5":
+        "8cd42f7a2f044eef6b8e96a1630cc35e7680b8c9fd2f67fa37829e26c47af3dd",
+    "net points --p 3 --dims M1:a=0,M1:a=1,M1:a=2 --m 6 --n 729":
+        "54288989c6ab60c59335aceb054f4b903f2b42818638886b9487be325af723c0",
 }
 
 
@@ -261,6 +270,20 @@ def test_verify_usage_error_exit_code(argv, capsys):
 ])
 def test_out_of_range_argument_exit_code(argv, capsys):
     code, out = run(argv.split())
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", [
+    "", "x,1/2\n", "1/0\n", "1/2,1/2\n1/4\n", "3/2\n", "1/2,1/2,1/2\n",
+], ids=["empty", "malformed", "zero-denominator", "ragged", "outside-unit-cube",
+        "three-dimensional"])
+def test_discrepancy_input_error_exit_code(content, tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text(content)
+    code, out = run(["net", "discrepancy", "--input", str(path)])
     assert code == 2
     assert out == ""
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,12 +31,12 @@ def test_compositions():
 
 def test_stacked_rank_examples():
     pair = gs(2, fam.M1(0), fam.M1(1))
-    assert net.stacked_rank_ok(pair, 2, 0, (1, 1))
+    assert net.stacked_rank_ok(2, pair.windows(2), 0, (1, 1))
     triple = gs(3, fam.M1(0), fam.M1(1), fam.M1(2))
-    assert not net.stacked_rank_ok(triple, 3, 0, (1, 1, 1))
-    assert net.stacked_rank_ok(triple, 2, 2, (0, 0, 0))
+    assert not net.stacked_rank_ok(3, triple.windows(3), 0, (1, 1, 1))
+    assert net.stacked_rank_ok(3, triple.windows(2), 2, (0, 0, 0))
     with pytest.raises(ValueError):
-        net.stacked_rank_ok(pair, 3, 0, (1, 1))
+        net.stacked_rank_ok(2, pair.windows(3), 0, (1, 1))
 
 
 def test_t_value_van_der_corput():
@@ -52,6 +53,39 @@ def test_t_value_faure_pairs_and_counterexample():
 def test_t_value_explicit_matrix_generator():
     c = exact.ExactMatrix.identity(6)
     assert net.t_value(net.GeneratingSet(2, (c,)), 6) == [0] * 6
+    short = net.GeneratingSet(2, (exact.ExactMatrix.identity(4),))
+    # t_value stops at the first depth the generator cannot reach
+    with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 5"):
+        net.t_value(short, 6)
+    with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
+        net.digital_points(short, 3, 6)
+
+
+def least_t_by_box_counts(g, m):
+    """Least t for which every elementary interval of volume p^(t-m)
+    holds exactly p^t of the first p^m points, counted box by box."""
+    p = g.p
+    ps = net.digital_points(g, p ** m, m)
+    # p^m points in p^(m-t) boxes: all hold p^t when every nonempty one does
+    for t in range(m + 1):
+        if all(set(Counter(tuple(math.floor(x * p ** d) for x, d in zip(pt, comp))
+                           for pt in ps.points).values()) == {p ** t}
+               for comp in net.compositions(m - t, ps.s)):
+            return t
+
+
+def test_t_value_matches_box_counts_on_random_generators():
+    rng = random.Random(2024)
+    seen = set()
+    for p in (2, 3):
+        for s in (1, 2, 3):
+            for _ in range(3):
+                g = gs(p, *(net.random_upper_unitriangular(5, p, rng) for _ in range(s)))
+                for m in range(1, 6):
+                    t = net.t_value(g, m)[-1]
+                    assert t == least_t_by_box_counts(g, m), (p, s, m)
+                    seen.add(t)
+    assert max(seen) >= 2
 
 
 def test_digital_points_van_der_corput():
