@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cf", help="continued fractions of Laurent series")
     csub = c.add_subparsers(dest="action", required=True)
     ce = csub.add_parser("expand")
-    ce.add_argument("--series", choices=("L1", "L2"), required=True)
+    ce.add_argument("--series", choices=tuple(laurent.SERIES), required=True)
     ce.add_argument("--coeffs", type=_positive, required=True)
     ce.add_argument("--quotients", type=_nonnegative, required=True)
     ce.add_argument("--json", action="store_true")
@@ -235,11 +235,15 @@ def _cmd_net(args, out) -> int:
 
 def run(argv, out=None) -> int:
     out = sys.stdout if out is None else out
+    # an exact integer the lab computed prints at any length (3.10 may lack the limit)
+    getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.verb == "net" and args.action == "points" and args.n > args.p ** args.m:
             parser.error(f"cannot place {args.n} points at depth {args.m} in base {args.p}")
+        if args.verb == "matrix" and args.action in ("det", "ldu") and args.m not in (None, args.n):
+            parser.error(f"square matrix required, got {args.n}x{args.m}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -254,7 +258,7 @@ def run(argv, out=None) -> int:
         if args.verb == "net":
             return _cmd_net(args, out)
         return 2
-    except (verify.GridError, argparse.ArgumentTypeError) as exc:
+    except (verify.GridError, argparse.ArgumentTypeError, exact.SingularMinorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, ArithmeticError, IndexError) as exc:

@@ -240,10 +240,6 @@ class LDUFactors:
     D: tuple
     U: ExactMatrix
 
-    def product(self) -> ExactMatrix:
-        p = mat_mul(mat_mul(self.L, ExactMatrix.diagonal(self.D)), self.U)
-        return ExactMatrix(p.rows, p.cols, tuple(_as_int(x) for x in p.entries))
-
 
 def ldu_decompose(a: ExactMatrix) -> LDUFactors:
     """Unique A = L diag(D) U with unit-diagonal triangular L, U.

@@ -42,6 +42,12 @@ def _m1(a):
     return m1
 
 
+def _hankel(kind):
+    """Maker of the Hankel matrix (c_{i+j}) of the SEQUENCES entry `kind`."""
+    c = sequences.SEQUENCES[kind]
+    return lambda a: lambda i, j: c(i + j)
+
+
 # CLI name -> (whether it takes the parameter a, maker of its entry
 # function from a)
 KINDS = {
@@ -49,8 +55,8 @@ KINDS = {
     "P2": (False, lambda a: lambda i, j: math.comb(i + j, i)),
     "M1": (True, _m1),
     "M2": (False, lambda a: lambda i, j: math.comb(i + j, i) % 2),
-    "H1": (False, lambda a: lambda i, j: sequences.catalan_interspersed(i + j)),
-    "H2": (False, lambda a: lambda i, j: sequences.catalan_interspersed(i + j, mod2=True)),
+    "H1": (False, _hankel("catalan_interspersed")),
+    "H2": (False, _hankel("catalan_interspersed_mod2")),
 }
 
 
@@ -77,15 +83,6 @@ def entry_fn(f: Family):
     if f.kind not in KINDS:
         raise ValueError(f"unknown family kind: {f.kind}")
     return KINDS[f.kind][1](f.a)
-
-
-def h2_structure_entry(i: int, j: int) -> int:
-    """Closed form for the mod-2 Catalan Hankel entries: 1 iff i+j+2 is a
-    power of two."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    v = i + j + 2
-    return 1 if v & (v - 1) == 0 else 0
 
 
 def window_of(f: Family, n: int, m: int | None = None, k: int = 0) -> exact.ExactMatrix:

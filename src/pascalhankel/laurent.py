@@ -131,19 +131,19 @@ class CFExpansion:
     exhausted_precision: bool
 
 
+# series name -> the SEQUENCES kind c whose Laurent series sum c_k X^(-k-1) it is
+SERIES = {"L1": "catalan_interspersed", "L2": "catalan_interspersed_mod2"}
+
+
 def build_L(which: str, num_coeffs: int) -> LaurentSeries:
     """The Catalan Laurent series: coefficient of X^(-k-1) is c_k ("L1")
     or c_k mod 2 ("L2")."""
     if num_coeffs < 1:
         raise ValueError("need at least one coefficient")
-    if which == "L1":
-        coeffs = [sequences.catalan_interspersed(k) for k in range(num_coeffs)]
-    elif which == "L2":
-        coeffs = [sequences.catalan_interspersed(k, mod2=True)
-                  for k in range(num_coeffs)]
-    else:
+    if which not in SERIES:
         raise ValueError(f"unknown series: {which!r}")
-    return LaurentSeries.make(-1, coeffs)
+    c = sequences.SEQUENCES[SERIES[which]]
+    return LaurentSeries.make(-1, [c(k) for k in range(num_coeffs)])
 
 
 def cf_expand(s: LaurentSeries, max_quotients: int) -> CFExpansion:

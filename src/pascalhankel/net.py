@@ -118,20 +118,6 @@ def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
     return PointSet(len(windows), tuple(pts))
 
 
-def net_property_ok(gs: GeneratingSet, m: int) -> bool:
-    """Elementary-interval test: for every composition (d_1..d_s) of m,
-    the boxes (floor(x_1 p^d_1), ..., floor(x_s p^d_s)) of the first p^m
-    points are distinct, so each of the p^m boxes holds exactly one."""
-    p = gs.p
-    ps = digital_points(gs, p ** m, m)
-    for comp in compositions(m, ps.s):
-        boxes = {tuple(x.numerator * p ** d // x.denominator for x, d in zip(pt, comp))
-                 for pt in ps.points}
-        if len(boxes) != len(ps.points):
-            return False
-    return True
-
-
 def star_discrepancy(ps: PointSet) -> Fraction:
     """Exact star discrepancy D*_N for dimension 1 or 2."""
     n = len(ps.points)

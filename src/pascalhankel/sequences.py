@@ -18,13 +18,6 @@ def thue_morse(i: int) -> int:
     return s2(i) & 1
 
 
-def lucas_binom_mod2(i: int, j: int) -> int:
-    """binom(j, i) mod 2: 1 iff the bit set of i is contained in that of j."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    return 1 if i & ~j == 0 else 0
-
-
 def catalan(k: int) -> int:
     """Exact Catalan number binom(2k,k)/(k+1)."""
     if k < 0:
@@ -35,26 +28,23 @@ def catalan(k: int) -> int:
     return _CATALAN[k]
 
 
-def catalan_interspersed(k: int, mod2: bool = False) -> int:
-    """Signed Catalan numbers interspersed with zeros.
-
-    c_{2k} = (-1)^k C_k and c_{2k+1} = 0; with mod2 the residue in {0,1}
-    is returned as a plain integer.
-    """
+def catalan_interspersed(k: int) -> int:
+    """Signed Catalan numbers interspersed with zeros: c_{2k} = (-1)^k C_k
+    and c_{2k+1} = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k % 2:
         return 0
     half = k // 2
     value = catalan(half)
-    if mod2:
-        return value % 2
     return -value if half % 2 else value
 
 
 def _paperfold(i: int) -> int:
-    # closed form of the doubling recursion: for i + 1 = 2^v * m with m odd,
-    # the term is s = +1 if m = 1 (mod 4) else -1 when v = 0, and -s when v > 0
+    # the +-1 paperfolding sequence 1, -1, -1, -1, 1, ..., the limit of the
+    # doubling recursion w -> w . (-1) . (-w reversed), in closed form: for
+    # i + 1 = 2^v * m with m odd, the term is s = +1 if m = 1 (mod 4) else -1
+    # when v = 0, and -s when v > 0
     if i < 0:
         raise ValueError("index must be nonnegative")
     n = i + 1
@@ -63,21 +53,13 @@ def _paperfold(i: int) -> int:
     return -s if v else s
 
 
-def paperfolding(length: int) -> list:
-    """Prefix of the +-1 paperfolding sequence starting (1, -1, -1, -1, ...),
-    the limit of the doubling recursion w -> w . (-1) . (-w reversed).
-    """
-    if length < 1:
-        raise ValueError("length must be positive")
-    return [_paperfold(i) for i in range(length)]
-
-
-# kind -> total function N0 -> Z; the CLI lists the kinds in this order
+# kind -> total function N0 -> Z; the CLI lists the kinds in this order, and
+# the Hankel families and Laurent series name the kind they are built from
 SEQUENCES = {
     "thue_morse": thue_morse,
     "catalan": catalan,
     "catalan_interspersed": catalan_interspersed,
-    "catalan_interspersed_mod2": lambda i: catalan_interspersed(i, mod2=True),
+    "catalan_interspersed_mod2": lambda i: catalan_interspersed(i) % 2,
     "paperfolding": _paperfold,
 }
 SEQUENCE_KINDS = tuple(SEQUENCES)

@@ -72,6 +72,8 @@ def test_criterion_5_qualification():
 
 def test_criterion_6_continued_fractions():
     t0 = time.time()
+    from test_sequences import paperfolding_by_doubling
+
     cf1 = laurent.cf_expand(laurent.build_L("L1", 61), 30)
     cf2 = laurent.cf_expand(laurent.build_L("L2", 61), 30)
     ok = len(cf1.partial_quotients) >= 30 and len(cf2.partial_quotients) >= 30
@@ -80,13 +82,15 @@ def test_criterion_6_continued_fractions():
     ok = ok and all(laurent.poly_str(q) == "X" for q in cf1.partial_quotients)
     signs = [q.coeffs[1] for q in cf2.partial_quotients]
     ok = ok and all(q.coeffs[0] == 0 for q in cf2.partial_quotients)
-    ok = ok and signs == seq.paperfolding(30)
+    ok = ok and signs == paperfolding_by_doubling(30)
     report("criterion 6: CF of L1 all X; CF of L2 follows the paperfolding "
            "signs", ok, time.time() - t0)
 
 
 def test_criterion_7_digital_method():
     t0 = time.time()
+    from test_net import least_t_by_box_counts
+
     vdc = net.GeneratingSet(2, (fam.P1(0),))
     pts = [pt[0] for pt in net.digital_points(vdc, 8, 3).points]
     ok = pts == [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
@@ -104,7 +108,7 @@ def test_criterion_7_digital_method():
         while gs.p ** (m + 1) <= 729:
             m += 1
         for depth in range(1, m + 1):
-            ok = ok and net.net_property_ok(gs, depth)
+            ok = ok and least_t_by_box_counts(gs, depth) == 0
     report("criterion 7: van der Corput plumbing and elementary-interval "
            "counting", ok, time.time() - t0)
 
@@ -112,19 +116,21 @@ def test_criterion_7_digital_method():
 def test_criterion_8_oracle_equivalences():
     t0 = time.time()
     from test_exact import cofactor_determinant, random_matrix
+    from test_families import h2_structure_entry
+    from test_sequences import lucas_binom_mod2
 
     rng = random.Random(1234)
     ok = True
     for _ in range(200):
         a = random_matrix(rng, rng.randint(1, 5))
         ok = ok and exact.determinant(a) == cofactor_determinant(a.to_rows())
+    m2 = fam.window_of(fam.M2, 257).to_rows()
     for i in range(257):
         for j in range(257):
-            if seq.lucas_binom_mod2(i, j) != math.comb(j, i) % 2:
+            if not m2[i][j] == lucas_binom_mod2(i, i + j) == math.comb(i + j, i) % 2:
                 ok = False
-    powers = {2 ** j - 2 for j in range(1, 16)}
     for k in range(2 ** 14 + 1):
-        if seq.catalan_interspersed(k, mod2=True) != (1 if k in powers else 0):
+        if seq.value("catalan_interspersed_mod2", k) != h2_structure_entry(k, 0):
             ok = False
-    report("criterion 8: Bareiss vs cofactor, Lucas vs binomial parity, "
+    report("criterion 8: Bareiss vs cofactor, M2 vs Lucas vs binomial parity, "
            "mod-2 Catalan closed form", ok, time.time() - t0)

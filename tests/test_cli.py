@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -90,6 +91,17 @@ PINNED_STDOUT = {
         "8cd42f7a2f044eef6b8e96a1630cc35e7680b8c9fd2f67fa37829e26c47af3dd",
     "net points --p 3 --dims M1:a=0,M1:a=1,M1:a=2 --m 6 --n 729":
         "54288989c6ab60c59335aceb054f4b903f2b42818638886b9487be325af723c0",
+    # the sequence rows behind H1/H2 and L1/L2, and windows read from them
+    "seq catalan_interspersed --count 200":
+        "83c9189944423aa3195cf1ea08f55c6b2ef771285badd191cebe6e8ab5f13c19",
+    "seq catalan_interspersed_mod2 --count 200":
+        "46c8644a6398ddc7fc52fa9b14dab3f8f89d13b817b4421981d10284413a7b12",
+    "seq paperfolding --count 200":
+        "d1e3b784c0578ae616467cc3f335395b47ea855e2d2484885ec00b73955b52e9",
+    "matrix show --family H2 --n 20 --k 100":
+        "6588a5b6fffbe76f0e32132f2e84d4d33f69c797bed2bbd9ca9e5fc9b7c81e92",
+    "matrix show --family H1 --n 12 --k 30":
+        "a1e39bc4c75a301ef479f73e1efa1cde8eb11a9eae366aeacd63f0bd24b926f6",
 }
 
 
@@ -267,6 +279,9 @@ def test_verify_usage_error_exit_code(argv, capsys):
     "net search --budget -1",
     "net search --budget 0",
     "matrix det --family M2 --n x",
+    "matrix det --family P2 --n 2 --m 3",   # det and LDU need a square window
+    "matrix ldu --family P2 --n 2 --m 3",
+    "matrix ldu --family H1 --n 3 --k 1",   # a zero leading minor: no LDU exists
 ])
 def test_out_of_range_argument_exit_code(argv, capsys):
     code, out = run(argv.split())
@@ -293,17 +308,21 @@ def test_discrepancy_input_error_exit_code(content, tmp_path, capsys):
 def test_internal_error_exit_code(monkeypatch, capsys):
     code, _ = run(["net", "discrepancy", "--input", "/nonexistent/points.csv"])
     assert code == 3
-    # a ValueError from inside the program is internal, not a usage mistake
-    code, _ = run(["matrix", "show", "--family", "P1:a=10", "--n", "2", "--k", "5000"])
-    assert code == 3
+    # exact integers print past the interpreter's default 4300-digit limit
+    code, out = run(["matrix", "show", "--family", "P1:a=10", "--n", "2", "--k", "5000"])
+    assert code == 0
+    assert [row.split(",") for row in out.splitlines()] == \
+        [[str(math.comb(j, i) * 10 ** (j - i)) for j in (5000, 5001)] for i in (0, 1)]
 
-    # an unexpected exception is an internal error too, never exit 1
+    # a ValueError from inside the program is internal, not a usage mistake,
+    # and an unexpected exception is an internal error too, never exit 1
     from pascalhankel import sequences
 
-    def crash(kind, i):
-        raise TypeError("boom")
+    for error in (ValueError, TypeError):
+        def crash(kind, i, error=error):
+            raise error("boom")
 
-    monkeypatch.setattr(sequences, "value", crash)
-    code, _ = run(["seq", "catalan", "--count", "2"])
-    assert code == 3
+        monkeypatch.setattr(sequences, "value", crash)
+        code, _ = run(["seq", "catalan", "--count", "2"])
+        assert code == 3
     assert "TypeError: boom" in capsys.readouterr().err

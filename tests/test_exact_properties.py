@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_exact import cofactor_determinant
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from test_exact import cofactor_determinant  # noqa: E402
-
-from pascalhankel import exact  # noqa: E402
-from pascalhankel.exact import ExactMatrix  # noqa: E402
+from pascalhankel import exact
+from pascalhankel.exact import ExactMatrix
 
 
 @st.composite

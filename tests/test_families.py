@@ -6,7 +6,10 @@ import random
 
 import pytest
 
+from test_sequences import lucas_binom_mod2
+
 from pascalhankel import families as fam
+from pascalhankel import laurent
 from pascalhankel import sequences as seq
 
 
@@ -23,17 +26,47 @@ def test_delta_at_zero_parameter():
                 assert fam.entry(f, i, j) == (1 if i == j else 0)
 
 
+def h2_structure_entry(i: int, j: int) -> int:
+    """Closed form of the mod-2 Catalan Hankel entries: 1 iff i+j+2 is a
+    power of two.  The oracle of the H2 windows."""
+    v = i + j + 2
+    return 1 if v & (v - 1) == 0 else 0
+
+
 def test_h2_structure_examples():
-    assert fam.h2_structure_entry(0, 0) == 1
-    assert fam.h2_structure_entry(3, 3) == 1
-    assert fam.h2_structure_entry(1, 2) == 0
+    for i, j, want in ((0, 0, 1), (3, 3, 1), (1, 2, 0), (1, 5, 1), (2, 2, 0)):
+        assert h2_structure_entry(i, j) == want
+        assert fam.entry(fam.H2, i, j) == want
 
 
 def test_h2_structure_matches_catalan_mod2():
     # entries depend on i+j only, so sweeping the anti-diagonal index
     # covers every (i, j) with i, j <= 2048
     for k in range(2 * 2048 + 1):
-        assert seq.catalan_interspersed(k, mod2=True) == fam.h2_structure_entry(k, 0)
+        assert seq.value("catalan_interspersed_mod2", k) == h2_structure_entry(k, 0)
+
+
+@pytest.mark.parametrize("f, k, closed_form", [
+    (fam.M2, 0, lambda i, j: lucas_binom_mod2(i, i + j)),
+    (fam.M2, 1000, lambda i, j: lucas_binom_mod2(i, i + j)),
+    (fam.M1(1), 0, lucas_binom_mod2),
+    (fam.H2, 0, h2_structure_entry),
+    (fam.H2, 2000, h2_structure_entry),
+], ids=["M2", "M2-k1000", "M1(1)", "H2", "H2-k2000"])
+def test_window_matches_closed_form(f, k, closed_form):
+    # column j of the window at offset k is column j + k of the matrix
+    assert fam.window_of(f, 64, 64, k).to_rows() == \
+        [[closed_form(i, j + k) for j in range(64)] for i in range(64)]
+
+
+@pytest.mark.parametrize("hankel, series", [(fam.H1, "L1"), (fam.H2, "L2")])
+def test_hankel_window_is_laurent_coefficients(hankel, series):
+    # both read one SEQUENCES row: entry (i, j) of the window at offset k
+    # is the coefficient of X^-(i+j+k+1) in the series
+    n, k = 12, 30
+    s = laurent.build_L(series, 2 * n + k)
+    assert fam.window_of(hankel, n, n, k).to_rows() == \
+        [[s.coefficient(-(i + j + k + 1)) for j in range(n)] for i in range(n)]
 
 
 def test_m1_is_p1_mod2():

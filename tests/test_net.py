@@ -114,13 +114,13 @@ def test_faure_pair_is_a_net_at_depth_2():
     for d1, d2 in ((2, 0), (1, 1), (0, 2)):
         boxes = {(x * 2 ** d1 // 1, y * 2 ** d2 // 1) for x, y in ps.points}
         assert len(boxes) == 4
-    assert net.net_property_ok(g, 2)
+    assert least_t_by_box_counts(g, 2) == 0
 
 
 def test_net_property_detects_bad_sets():
     # duplicated generator cannot equidistribute two-dimensional boxes
     g = gs(2, fam.P1(1), fam.P1(1))
-    assert not net.net_property_ok(g, 2)
+    assert least_t_by_box_counts(g, 2) != 0
 
 
 def test_star_discrepancy_dim1():

@@ -28,17 +28,32 @@ def test_thue_morse_doubling():
         assert seq.thue_morse(2 * i + 1) == 1 - seq.thue_morse(i)
 
 
+def lucas_binom_mod2(i: int, j: int) -> int:
+    """Lucas's theorem at p = 2: binom(j, i) mod 2 is 1 iff the bit set of i
+    is contained in that of j.  The oracle of the M1(1) and M2 windows."""
+    return 1 if i & ~j == 0 else 0
+
+
+def paperfolding_by_doubling(length: int) -> list:
+    """Prefix of the +-1 paperfolding sequence by its doubling recursion
+    w -> w . (-1) . (-w reversed), started from w = (1)."""
+    w = [1]
+    while len(w) < length:
+        w = w + [-1] + [-x for x in reversed(w)]
+    return w[:length]
+
+
 def test_lucas_examples():
-    assert seq.lucas_binom_mod2(1, 5) == 1
-    assert seq.lucas_binom_mod2(2, 4) == 0
+    assert lucas_binom_mod2(1, 5) == 1
+    assert lucas_binom_mod2(2, 4) == 0
     for i in range(20):
-        assert seq.lucas_binom_mod2(i, i) == 1
+        assert lucas_binom_mod2(i, i) == 1
 
 
 def test_lucas_matches_binomial_parity():
     for i in range(257):
         for j in range(257):
-            assert seq.lucas_binom_mod2(i, j) == math.comb(j, i) % 2
+            assert lucas_binom_mod2(i, j) == math.comb(j, i) % 2
 
 
 def test_digit_sum_subadditive_with_carry_characterisation():
@@ -65,41 +80,35 @@ def test_catalan_formulas_agree():
             assert c == math.comb(2 * k, k) - math.comb(2 * k, k - 1)
 
 
+def mod2(k):
+    return seq.value("catalan_interspersed_mod2", k)
+
+
 def test_catalan_interspersed_values():
     assert [seq.catalan_interspersed(k) for k in range(7)] == [1, 0, -1, 0, 2, 0, -5]
-    assert [seq.catalan_interspersed(k, mod2=True) for k in range(7)] == \
-        [1, 0, 1, 0, 0, 0, 1]
+    assert [mod2(k) for k in range(7)] == [1, 0, 1, 0, 0, 0, 1]
     for k in range(50):
         assert seq.catalan_interspersed(2 * k + 1) == 0
-        assert seq.catalan_interspersed(2 * k + 1, mod2=True) == 0
+        assert mod2(2 * k + 1) == 0
+        # the mod-2 row is the residue of the signed one, sign dropped
+        assert mod2(2 * k) == seq.catalan(k) % 2
 
 
 def test_catalan_interspersed_mod2_closed_form():
     powers = {2 ** j - 2 for j in range(1, 12)}
     for k in range(2 ** 10 + 1):
-        assert seq.catalan_interspersed(k, mod2=True) == (1 if k in powers else 0)
+        assert mod2(k) == (1 if k in powers else 0)
 
 
 def test_paperfolding_values():
-    assert seq.paperfolding(1) == [1]
-    assert seq.paperfolding(3) == [1, -1, -1]
-    assert seq.paperfolding(7) == [1, -1, -1, -1, 1, 1, -1]
+    assert [seq.value("paperfolding", i) for i in range(7)] == [1, -1, -1, -1, 1, 1, -1]
     with pytest.raises(ValueError):
-        seq.paperfolding(0)
-
-
-def test_paperfolding_prefix_stability():
-    long = seq.paperfolding(300)
-    for n in (1, 2, 3, 10, 50, 299):
-        assert seq.paperfolding(n) == long[:n]
+        seq.value("paperfolding", -1)
 
 
 def test_paperfolding_closed_form_matches_doubling_recursion():
-    w = [1]
-    while len(w) < 5000:
-        w = w + [-1] + [-x for x in reversed(w)]
-    assert seq.paperfolding(5000) == w[:5000]
-    assert [seq.value("paperfolding", i) for i in range(5000)] == w[:5000]
+    assert [seq.value("paperfolding", i) for i in range(5000)] == \
+        paperfolding_by_doubling(5000)
 
 
 def test_value_dispatch():
