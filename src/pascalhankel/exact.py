@@ -279,29 +279,39 @@ def is_prime(p: int) -> bool:
 
 
 def rank_mod_p(a: ExactMatrix, p: int) -> int:
-    """Rank of A reduced entrywise mod p, by Gaussian elimination over F_p.
-
-    Pivot choice is the lowest-index nonzero row, so runs are reproducible.
-    """
+    """Rank of A reduced entrywise mod p, by Gaussian elimination over F_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = [[x % p for x in row] for row in a.to_rows()]
-    nrows, ncols = a.rows, a.cols
+    return _rank_reduced([[x % p for x in row] for row in a.to_rows()], p)
+
+
+def _rank_reduced(rows: list, p: int) -> int:
+    """Rank over F_p of rows whose entries already lie in 0..p-1.
+
+    The one F_p elimination.  Pivot choice is the lowest-index nonzero
+    row, so runs are reproducible.  It rebinds rows and never mutates
+    them: callers pass rows of a shared table.
+    """
+    m = list(rows)
+    nrows = len(m)
     rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][c]), None)
-        if piv is None:
+    for c in range(len(m[0]) if m else 0):
+        for piv in range(rank, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(rank + 1, nrows):
-            f = m[i][c]
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        prow = m[piv]
+        m[piv] = m[rank]
         rank += 1
         if rank == nrows:
             break
+        inv = pow(prow[c], -1, p)
+        for i in range(rank, nrows):
+            f = m[i][c]
+            if f:
+                f = f * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
     return rank
 
 

@@ -2,15 +2,18 @@
 
 Stacked-rank qualification checks, per-depth t-values, digital-method
 point generation with exact rational coordinates, exact star discrepancy
-at desk scale, and a search harness for a third base-3 generating matrix.
+in dimensions 1 and 2, and a search harness for a third base-3 generating
+matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from . import exact, families
 
@@ -76,9 +79,7 @@ def stacked_rank_ok(p: int, windows: list, t: int, composition) -> bool:
     if sum(composition) != m - t:
         raise ValueError("composition must sum to m - t")
     rows = [row for w, d in zip(windows, composition) for row in w[:d]]
-    if not rows:
-        return True
-    return exact.rank_mod_p(exact.ExactMatrix.from_rows(rows), p) == m - t
+    return exact._rank_reduced(rows, p) == m - t
 
 
 def t_value(gs: GeneratingSet, m_max: int) -> list:
@@ -99,27 +100,50 @@ def t_value(gs: GeneratingSet, m_max: int) -> list:
 def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
     """First n_points points of the digital sequence at depth m: coordinate
     i of point n is 0.y_1 ... y_m in base p, y = C_i . digits(n) mod p for
-    the m x m window C_i and the digits of n, least significant first."""
+    the m x m window C_i and the digits of n, least significant first.
+
+    Going from n to n+1 raises digit k by one and wraps every digit below
+    it from p-1 to 0, which adds (1-p) col_j = col_j mod p; so y gains the
+    sum of columns 0..k of C_i, amortised O(m) work per coordinate.
+    """
     p = gs.p
     if n_points > p ** m:
         raise ValueError(f"cannot place {n_points} points at depth {m} in base {p}")
     windows = gs.windows(m)
     denom = p ** m
+    weights = [p ** (m - 1 - r) for r in range(m)]
+    # carry_sums[i][k] = columns 0..k of C_i summed mod p
+    carry_sums = []
+    for c in windows:
+        acc, sums = [0] * m, []
+        for k in range(m):
+            acc = [(a + row[k]) % p for a, row in zip(acc, c)]
+            sums.append(acc)
+        carry_sums.append(sums)
+    digits = [0] * m
+    ys = [[0] * m for _ in windows]
     pts = []
     for n in range(n_points):
-        digits = [n // p ** k % p for k in range(m)]
-        coords = []
-        for c in windows:
-            num = 0
-            for row in c:
-                num = num * p + sum(a * b for a, b in zip(row, digits)) % p
-            coords.append(Fraction(num, denom))
-        pts.append(tuple(coords))
+        if n:
+            k = 0
+            while digits[k] == p - 1:
+                digits[k] = 0
+                k += 1
+            digits[k] += 1
+            ys = [[(a + b) % p for a, b in zip(y, sums[k])]
+                  for y, sums in zip(ys, carry_sums)]
+        pts.append(tuple(Fraction(sum(map(mul, y, weights)), denom) for y in ys))
     return PointSet(len(windows), tuple(pts))
 
 
 def star_discrepancy(ps: PointSet) -> Fraction:
-    """Exact star discrepancy D*_N for dimension 1 or 2."""
+    """Exact star discrepancy D*_N for dimension 1 or 2.
+
+    In dimension 2 the anchored boxes [0, a) x [0, b) and [0, a] x [0, b]
+    with a a distinct x or 1 and b a distinct y or 1 are swept in x order
+    over integer coordinates on one common denominator, the lcm of the
+    denominators, with a histogram of the points by y-rank: O(N^2).
+    """
     n = len(ps.points)
     if n < 1:
         raise ValueError("need at least one point")
@@ -130,18 +154,30 @@ def star_discrepancy(ps: PointSet) -> Fraction:
             best = max(best, Fraction(i + 1, n) - x, x - Fraction(i, n))
         return best
     if ps.s == 2:
-        xs = sorted({pt[0] for pt in ps.points} | {Fraction(1)})
-        ys = sorted({pt[1] for pt in ps.points} | {Fraction(1)})
-        pts = ps.points
-        best = Fraction(0)
-        for a in xs:
-            for b in ys:
-                open_count = sum(1 for x, y in pts if x < a and y < b)
-                closed_count = sum(1 for x, y in pts if x <= a and y <= b)
-                vol = a * b
-                best = max(best, vol - Fraction(open_count, n),
-                           Fraction(closed_count, n) - vol)
-        return best
+        scale = math.lcm(*(x.denominator for pt in ps.points for x in pt))
+        pts = [(int(x * scale), int(y * scale)) for x, y in ps.points]
+        ys = sorted({y for _, y in pts} | {scale})
+        rank = {y: r for r, y in enumerate(ys)}
+        by_x = {}
+        for x, y in pts:
+            by_x.setdefault(x, []).append(rank[y])
+        by_x.setdefault(scale, [])
+        # counts weighted by scale^2 so that n a b and count scale^2 compare
+        weight = scale * scale
+        n_ys = [n * y for y in ys]
+        hist = [0] * len(ys)
+        # closed counts #{x <= a', y <= b} of the previous a', shifted one
+        # y-rank up, are the open counts #{x < a, y < b}
+        closed = [0] * len(ys)
+        best = 0
+        for a in sorted(by_x):
+            vol = list(map(a.__mul__, n_ys))
+            best = max(best, max(map(sub, vol, itertools.chain((0,), closed))))
+            for r in by_x[a]:
+                hist[r] += weight
+            closed = list(itertools.accumulate(hist))
+            best = max(best, max(map(sub, closed, vol)))
+        return Fraction(best, n * weight)
     raise ValueError("star discrepancy implemented for dimensions 1 and 2 only")
 
 

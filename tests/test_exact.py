@@ -240,6 +240,39 @@ def test_rank_equals_transpose_rank():
             assert exact.rank_mod_p(a, p) == exact.rank_mod_p(a.transpose(), p)
 
 
+def span_size_mod_p(rows, p, cols):
+    """Independent oracle: the number of vectors in the F_p row span,
+    found by enumerating every combination of the rows."""
+    span = {(0,) * cols}
+    for row in rows:
+        span = {tuple((v + c * x) % p for v, x in zip(vec, row))
+                for vec in span for c in range(p)}
+    return len(span)
+
+
+def test_shared_rank_loop_matches_span_enumeration():
+    rng = random.Random(7)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            nrows = rng.randint(0, 6)
+            # keep the span at most 7^4 vectors so enumeration stays cheap
+            cols = rng.randint(0, 6 if p < 5 else 4)
+            rows = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                    for _ in range(nrows)]
+            for i in rng.sample(range(nrows), nrows // 3):
+                rows[i] = [0] * cols
+            before = [list(r) for r in rows]
+            r = exact._rank_reduced(rows, p)
+            assert p ** r == span_size_mod_p(rows, p, cols), (p, rows)
+            assert rows == before  # the loop rebinds rows, never mutates them
+            assert exact.rank_mod_p(ExactMatrix(nrows, cols, tuple(x for row in rows
+                                                                    for x in row)), p) == r
+            seen.add((nrows > cols, r == min(nrows, cols)))
+    # wide, tall, full-rank and rank-deficient matrices all occur
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("maker", [families.P1, families.M1])
 def test_window_multiplicativity_for_triangular_families(maker):
     # truncation is multiplicative for upper triangular generators

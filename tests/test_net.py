@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pascalhankel import exact, families as fam, net
 
@@ -37,6 +41,28 @@ def test_stacked_rank_examples():
     assert net.stacked_rank_ok(3, triple.windows(2), 2, (0, 0, 0))
     with pytest.raises(ValueError):
         net.stacked_rank_ok(2, pair.windows(3), 0, (1, 1))
+
+
+def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
+    """t_value shares one windows table across every composition of a
+    depth, so the rank loop must rebind rows, never mutate them."""
+    tables = []
+    windows = net.GeneratingSet.windows
+
+    def recording(self, m):
+        table = windows(self, m)
+        tables.append((table, copy.deepcopy(table)))
+        return table
+
+    monkeypatch.setattr(net.GeneratingSet, "windows", recording)
+    g = gs(3, fam.M1(0), fam.M1(1), fam.M1(2))
+    assert net.t_value(g, 6)[-1] >= 1
+    table = g.windows(6)
+    results = [net.stacked_rank_ok(3, table, t, c)
+               for t in range(7) for c in net.compositions(6 - t, 3)]
+    assert True in results and False in results
+    assert len(tables) == 7
+    assert all(table == snapshot for table, snapshot in tables)
 
 
 def test_t_value_van_der_corput():
@@ -86,6 +112,44 @@ def test_t_value_matches_box_counts_on_random_generators():
                     assert t == least_t_by_box_counts(g, m), (p, s, m)
                     seen.add(t)
     assert max(seen) >= 2
+
+
+def dot_product_points(g, n_points, m):
+    """Independent oracle: coordinate i of point n is 0.y_1 ... y_m with
+    each digit y_r the dot product of row r of C_i with the base-p digits
+    of n, mod p."""
+    p = g.p
+    windows = g.windows(m)
+    pts = []
+    for n in range(n_points):
+        digits = [n // p ** k % p for k in range(m)]
+        coords = []
+        for c in windows:
+            num = 0
+            for row in c:
+                num = num * p + sum(map(operator.mul, row, digits)) % p
+            coords.append(Fraction(num, p ** m))
+        pts.append(tuple(coords))
+    return pts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digital_points_match_dot_products(p):
+    rng = random.Random(p)
+    # a family, a random upper unitriangular matrix and an explicit matrix,
+    # not triangular, with entries outside 0..p-1
+    explicit = exact.ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(6)]
+                                            for _ in range(6)])
+    pool = (fam.P1(1), net.random_upper_unitriangular(6, p, rng), explicit)
+    for s in (1, 2, 3):
+        g = gs(p, *(pool[(s + i) % 3] for i in range(s)))
+        for m in range(7):
+            want = dot_product_points(g, p ** m, m)
+            # p^m, and p^m - 1, which is not a power of p once p^m > 2
+            for n_points in {p ** m, p ** m - 1}:
+                ps = net.digital_points(g, n_points, m)
+                assert ps.s == s
+                assert list(ps.points) == want[:n_points], (s, m, n_points)
 
 
 def test_digital_points_van_der_corput():
@@ -144,6 +208,61 @@ def test_star_discrepancy_dim2():
         net.star_discrepancy(net.PointSet(3, ((Fraction(0),) * 3,)))
     with pytest.raises(ValueError):
         net.star_discrepancy(net.PointSet(1, ()))
+
+
+def star_discrepancy_by_boxes(ps):
+    """Independent oracle: every anchored box [0, a) and [0, a] whose
+    corner takes a distinct coordinate value or 1 on each axis, with its
+    points counted one by one; O(N^(s+1))."""
+    n = len(ps.points)
+    axes = [sorted({pt[i] for pt in ps.points} | {Fraction(1)}) for i in range(ps.s)]
+    best = Fraction(0)
+    for corner in itertools.product(*axes):
+        vol = math.prod(corner)
+        open_count = sum(all(x < a for x, a in zip(pt, corner)) for pt in ps.points)
+        closed_count = sum(all(x <= a for x, a in zip(pt, corner)) for pt in ps.points)
+        best = max(best, vol - Fraction(open_count, n), Fraction(closed_count, n) - vol)
+    return best
+
+
+coordinates = st.integers(2, 12).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda k: Fraction(k, d)))
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 12 points in dimension 1 or 2 with mixed denominators 2..12,
+    drawn from a few values per axis so that coordinates repeat."""
+    s = draw(st.sampled_from((1, 2)))
+    axes = [draw(st.lists(coordinates, min_size=1, max_size=5)) for _ in range(s)]
+    pts = draw(st.lists(st.tuples(*(st.sampled_from(axis) for axis in axes)),
+                        min_size=1, max_size=12))
+    return net.PointSet(s, tuple(pts))
+
+
+def point_set(*pts):
+    return net.PointSet(len(pts[0]), tuple(tuple(map(Fraction, pt)) for pt in pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+@example(point_set(("0", "0")))
+@example(point_set(("0", "1/2"), ("1/3", "0"), ("1/3", "1/2"), ("1/3", "1/2"), ("0", "1/2")))
+@example(point_set(("5/12",), ("1/2",), ("5/12",), ("0",)))
+def test_star_discrepancy_matches_box_enumeration(ps):
+    assert net.star_discrepancy(ps) == star_discrepancy_by_boxes(ps)
+
+
+@pytest.mark.parametrize("p, dims, m", [(2, (fam.P1(0), fam.P1(1)), 5),
+                                        (3, (fam.M1(1), fam.M1(2)), 3)])
+def test_star_discrepancy_of_digital_points_matches_box_enumeration(p, dims, m):
+    ps = net.digital_points(gs(p, *dims), p ** m, m)
+    assert net.star_discrepancy(ps) == star_discrepancy_by_boxes(ps)
+
+
+def test_star_discrepancy_pinned_at_1024_points():
+    ps = net.digital_points(gs(2, fam.P1(0), fam.P1(1)), 1024, 10)
+    assert net.star_discrepancy(ps) == Fraction(1127, 262144)
 
 
 def test_star_discrepancy_dim2_dominates_sampled_boxes():
