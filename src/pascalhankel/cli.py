@@ -68,8 +68,9 @@ def _point_set(lines) -> net.PointSet:
         raise argparse.ArgumentTypeError(f"--input: {s} coordinates per point, expected 1 or 2")
     for pt in pts:
         if len(pt) != s or not all(0 <= x < 1 for x in pt):
-            raise argparse.ArgumentTypeError(
-                f"--input: point {','.join(map(str, pt))} is not in [0, 1)^{s}")
+            why = (f"has {len(pt)} coordinates, the first point has {s}" if len(pt) != s
+                   else f"is not in [0, 1)^{s}")
+            raise argparse.ArgumentTypeError(f"--input: point {','.join(map(str, pt))} {why}")
     return net.PointSet(s, tuple(pts))
 
 
@@ -233,6 +234,11 @@ def _cmd_net(args, out) -> int:
     return 0
 
 
+# verb -> handler(args, out) returning the exit status
+_COMMANDS = {"matrix": _cmd_matrix, "verify": _cmd_verify, "cf": _cmd_cf,
+             "seq": _cmd_seq, "net": _cmd_net}
+
+
 def run(argv, out=None) -> int:
     out = sys.stdout if out is None else out
     # an exact integer the lab computed prints at any length (3.10 may lack the limit)
@@ -247,17 +253,7 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.verb == "matrix":
-            return _cmd_matrix(args, out)
-        if args.verb == "verify":
-            return _cmd_verify(args, out)
-        if args.verb == "cf":
-            return _cmd_cf(args, out)
-        if args.verb == "seq":
-            return _cmd_seq(args, out)
-        if args.verb == "net":
-            return _cmd_net(args, out)
-        return 2
+        return _COMMANDS[args.verb](args, out)
     except (verify.GridError, argparse.ArgumentTypeError, exact.SingularMinorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

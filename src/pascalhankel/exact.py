@@ -1,8 +1,8 @@
 """Exact dense matrix kernel over the integers and rationals.
 
-Windows of infinite matrices, products, integer powers (including exact
-inverses of unimodular triangular matrices), fraction-free determinants,
-LDU factorisation, and rank over F_p.  No floating point anywhere.
+Windows of infinite matrices, products, nonnegative powers, fraction-free
+determinants, LDU factorisation, and rank over F_p.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -18,13 +18,6 @@ class SingularMinorError(ValueError):
     def __init__(self, order: int):
         super().__init__(f"leading principal minor of order {order} is zero")
         self.order = order
-
-
-def _as_int(x):
-    # collapse Fractions with denominator 1 back to int
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -128,43 +121,11 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.rows, b.cols, tuple(out))
 
 
-def _triangular_kind(a: ExactMatrix) -> str | None:
-    upper = all(a.get(i, j) == 0 for i in range(a.rows) for j in range(i))
-    if upper:
-        return "upper"
-    lower = all(a.get(i, j) == 0 for i in range(a.rows) for j in range(i + 1, a.cols))
-    return "lower" if lower else None
-
-
-def unimodular_triangular_inverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact integer inverse of a triangular matrix with diagonal entries +-1."""
-    if not a.is_square():
-        raise ValueError("inverse requires a square matrix")
-    kind = _triangular_kind(a)
-    if kind is None:
-        raise ValueError("matrix is not triangular")
-    if any(a.get(i, i) not in (1, -1) for i in range(a.rows)):
-        raise ValueError("triangular inverse requires diagonal entries +-1")
-    if kind == "lower":
-        return unimodular_triangular_inverse(a.transpose()).transpose()
-    n = a.rows
-    rows = a.to_rows()
-    inv = [[0] * n for _ in range(n)]
-    for j in range(n):
-        # solve A x = e_j by back substitution; division is by +-1
-        for i in range(j, -1, -1):
-            s = (1 if i == j else 0) - sum(rows[i][k] * inv[k][j]
-                                           for k in range(i + 1, j + 1))
-            inv[i][j] = s * rows[i][i]
-    return ExactMatrix.from_rows(inv)
-
-
 def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
     if not a.is_square():
         raise ValueError("power requires a square matrix")
     if e < 0:
-        a = unimodular_triangular_inverse(a)
-        e = -e
+        raise ValueError(f"power requires a nonnegative exponent, got {e}")
     result = ExactMatrix.identity(a.rows)
     base = a
     while e:
@@ -252,7 +213,7 @@ def ldu_decompose(a: ExactMatrix) -> LDUFactors:
     minors = [1] + [m[k][k] for k in range(n)]
 
     def ratio(p, q):
-        return _as_int(Fraction(p, q))
+        return p // q if p % q == 0 else Fraction(p, q)
 
     return LDUFactors(
         ExactMatrix.from_rows([[ratio(m[i][j], minors[j + 1]) if j < i else int(i == j)

@@ -66,20 +66,18 @@ class VerificationReport:
 def _compare_blocks(report, full_lhs, full_rhs, n_max, label):
     """Compare upper-left n x n blocks for every n <= n_max.
 
-    Equality of the full matrices settles all blocks at once; on mismatch
-    the smallest failing n is located explicitly.
+    Equality of the full matrices settles all blocks at once.  Block n
+    holds entry (i, j) exactly when max(i, j) < n, so the differing entry
+    least in (max(i, j), i, j) is reported, in the smallest failing n.
     """
+    report.checked += n_max
     if full_lhs == full_rhs:
-        report.checked += n_max
         return
-    for n in range(1, n_max + 1):
-        report.checked += 1
-        lhs = full_lhs.submatrix(n)
-        rhs = full_rhs.submatrix(n)
-        if lhs != rhs:
-            report.fail(f"{label}, n={n}", exact.to_json(rhs), exact.to_json(lhs))
-            report.checked += n_max - n
-            break
+    i, j = min(((i, j) for i in range(n_max) for j in range(n_max)
+                if full_lhs.get(i, j) != full_rhs.get(i, j)),
+               key=lambda ij: (max(ij), ij))
+    report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})",
+                full_rhs.get(i, j), full_lhs.get(i, j))
 
 
 def _nonzero(a) -> tuple:
@@ -100,12 +98,15 @@ def _item1(report, n_max):
 
 
 def _item2(report, a, n_max):
-    """P1^a == P1(a) for nonzero a."""
-    base = families.window_of(families.P1(1), n_max)
+    """P1^a == P1(a) for nonzero a, as P1(min(a,0)) P1^|a| == P1(max(a,0)).
+
+    For a > 0 this is P1^a == P1(a), P1(0) being I; for a < 0 it is
+    P1(a) P1^-a == I, which is equivalent because P1^-a is unitriangular.
+    """
+    w = functools.cache(lambda c: families.window_of(families.P1(c), n_max))
     for x in _nonzero(a):
-        _compare_blocks(report, exact.mat_pow(base, x),
-                        families.window_of(families.P1(x), n_max),
-                        n_max, f"a={x}")
+        _compare_blocks(report, exact.mat_mul(w(min(x, 0)), exact.mat_pow(w(1), abs(x))),
+                        w(max(x, 0)), n_max, f"a={x}")
 
 
 def _group_law(kind):

@@ -305,6 +305,19 @@ def test_discrepancy_input_error_exit_code(content, tmp_path, capsys):
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    ("1/2\n1/3,1/4\n", "point 1/3,1/4 has 2 coordinates, the first point has 1"),
+    ("1/2,1/2\n1/4\n", "point 1/4 has 1 coordinates, the first point has 2"),
+], ids=["longer", "shorter"])
+def test_discrepancy_input_names_unequal_dimension(content, message, tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text(content)
+    code, out = run(["net", "discrepancy", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     code, _ = run(["net", "discrepancy", "--input", "/nonexistent/points.csv"])
     assert code == 3

@@ -27,8 +27,10 @@ def test_item2_power():
 def test_item2_smallest_cases():
     w = families.window_of(families.P1(1), 2)
     assert exact.mat_pow(w, 3).to_rows() == [[1, 3], [0, 1]]
-    assert exact.mat_pow(families.window_of(families.P1(1), 3), -1) == \
-        families.window_of(families.P1(-1), 3)
+    # a = -1 in product form: P1(-1) P1 == I
+    assert exact.mat_mul(families.window_of(families.P1(-1), 3),
+                         families.window_of(families.P1(1), 3)) == \
+        exact.ExactMatrix.identity(3)
 
 
 def test_group_law_m1_small():
@@ -133,6 +135,61 @@ def test_failure_reporting():
     assert not report.passed
     assert report.to_dict()["failures"][0] == \
         {"parameters": "n=1", "expected": "1", "actual": "2"}
+
+
+def _corrupt(monkeypatch, kind, a, i0, j0):
+    """Add 1 to entry (i0, j0) of the family kind at parameter a."""
+    takes_a, make = families.KINDS[kind]
+
+    def maker(x):
+        f = make(x)
+        return f if x != a else lambda i, j: f(i, j) + ((i, j) == (i0, j0))
+
+    monkeypatch.setitem(families.KINDS, kind, (takes_a, maker))
+
+
+# (identity, options, corrupted (kind, a, i, j), the one failure, checked)
+CORRUPTED = {
+    # P1(-2) P1^2 == I: row 1 of the left side gains row 3 of P1(2)
+    "item2-negative": ("item2", {"a": (-2,), "n_max": 6}, ("P1", -2, 1, 3),
+                       {"parameters": "a=-2, n=4, entry (1,3)",
+                        "expected": "0", "actual": "1"}, 6),
+    # P1(0) P1^3 == P1(3) with the right side's C(2,0) 3^2 = 9 made 10
+    "item2-positive": ("item2", {"a": (3,), "n_max": 6}, ("P1", 3, 0, 2),
+                       {"parameters": "a=3, n=3, entry (0,2)",
+                        "expected": "10", "actual": "9"}, 6),
+    # only the pair (1, 1) multiplies M1(1) twice; (0,1), (0,3), ... differ
+    "group-law-m1": ("group-law-m1", {"a": (0, 1), "n_max": 8}, ("M1", 1, 0, 1),
+                     {"parameters": "a=1, b=1, n=2, entry (0,1)",
+                      "expected": "2", "actual": "4"}, 4 * 8),
+    "item1": ("item1", {"n_max": 5}, ("P2", 0, 2, 1),
+              {"parameters": "P1^T P1, n=3, entry (2,1)",
+               "expected": "4", "actual": "3"}, 5),
+    "lemma1": ("lemma1", {"n_max": 8}, ("M2", 0, 2, 3),
+               {"parameters": "M1^T D M1, n=4, entry (2,3)",
+                "expected": "1", "actual": "0"}, 8),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTED.values(), ids=CORRUPTED)
+def test_corrupted_entry_is_reported_by_entry(case, monkeypatch):
+    identity_id, options, (kind, a, i, j), failure, checked = case
+    _corrupt(monkeypatch, kind, a, i, j)
+    report = verify.run_check(identity_id, **options)
+    assert report.failures == [failure]
+    assert report.checked == checked
+
+
+def test_compare_blocks_names_the_smallest_failing_block():
+    # (0,3) comes first in row order, but (2,2) already breaks the 3 x 3 block
+    rhs = exact.ExactMatrix.identity(4)
+    lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
+                                       [0, 0, 7, 0], [0, 0, 0, 1]])
+    report = verify.VerificationReport("demo", "n <= 4")
+    verify._compare_blocks(report, lhs, rhs, 4, "demo")
+    assert report.failures == [{"parameters": "demo, n=3, entry (2,2)",
+                                "expected": "1", "actual": "7"}]
+    assert report.checked == 4
 
 
 def test_run_check_registry():
