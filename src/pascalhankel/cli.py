@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--json", action="store_true")
 
     s = sub.add_parser("seq", help="dump a sequence prefix")
-    s.add_argument("kind", choices=sequences.SEQUENCE_KINDS)
+    s.add_argument("kind", choices=tuple(sequences.SEQUENCES))
     s.add_argument("--count", type=_positive, required=True)
 
     n = sub.add_parser("net", help="digital (t,s)-sequence tools")

@@ -77,15 +77,13 @@ class ExactMatrix:
                            tuple(e[i * m + j] for j in range(m)
                                  for i in range(self.rows)))
 
-    def submatrix(self, n: int, m: int | None = None) -> "ExactMatrix":
-        """Upper-left n x m block."""
-        if m is None:
-            m = n
-        if n > self.rows or m > self.cols:
+    def submatrix(self, n: int) -> "ExactMatrix":
+        """Upper-left n x n block."""
+        if n > self.rows or n > self.cols:
             raise ValueError("submatrix larger than matrix")
         e = self.entries
-        return ExactMatrix(n, m, tuple(e[i * self.cols + j]
-                                       for i in range(n) for j in range(m)))
+        return ExactMatrix(n, n, tuple(e[i * self.cols + j]
+                                       for i in range(n) for j in range(n)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -278,16 +276,12 @@ def _rank_reduced(rows: list, p: int) -> int:
 
 # --- serialization ---------------------------------------------------------
 
-def to_json_dict(a: ExactMatrix) -> dict:
-    return {
+def to_json(a: ExactMatrix) -> str:
+    return json.dumps({
         "rows": a.rows,
         "cols": a.cols,
         "entries": [[str(x) for x in a.row(i)] for i in range(a.rows)],
-    }
-
-
-def to_json(a: ExactMatrix) -> str:
-    return json.dumps(to_json_dict(a))
+    })
 
 
 def to_csv(a: ExactMatrix) -> str:

@@ -19,24 +19,16 @@ class Family:
     a: int = 0
 
 
-def _delta(i, j):
-    return 1 if i == j else 0
-
-
 def _p1(a):
-    if a == 0:
-        return _delta
+    # at a = 0, 0 ** 0 == 1 leaves the identity
     return lambda i, j: 0 if i > j else math.comb(j, i) * a ** (j - i)
 
 
 def _m1(a):
-    if a == 0:
-        return _delta
-
     def m1(i, j):
         if i & ~j:
             return 0
-        # bit-subset makes the exponent nonnegative
+        # bit-subset makes the exponent nonnegative; at a = 0, 0 ** 0 == 1
         return a ** (sequences.s2(j) - sequences.s2(i))
 
     return m1
@@ -72,10 +64,6 @@ P2 = Family("P2")
 M2 = Family("M2")
 H1 = Family("H1")
 H2 = Family("H2")
-
-
-def entry(f: Family, i: int, j: int) -> int:
-    return entry_fn(f)(i, j)
 
 
 def entry_fn(f: Family):

@@ -62,7 +62,6 @@ SEQUENCES = {
     "catalan_interspersed_mod2": lambda i: catalan_interspersed(i) % 2,
     "paperfolding": _paperfold,
 }
-SEQUENCE_KINDS = tuple(SEQUENCES)
 
 
 def value(kind: str, i: int) -> int:

@@ -134,7 +134,7 @@ def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
     """Check det of shifted windows for all n via one fraction-free pass.
 
     key(det) is compared with expected_fn(n); abs for sweeps that only
-    predict |det|.
+    predict |det|.  Returns the signs of the minors, or None at a zero one.
     """
     try:
         minors = exact.leading_principal_minors(
@@ -148,7 +148,7 @@ def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
         want, got = expected_fn(n), key(det)
         if got != want:
             report.fail(f"{label}, n={n}", want, got)
-    return minors
+    return [1 if d > 0 else -1 for d in minors]
 
 
 def _unimodular(fam):
@@ -169,21 +169,21 @@ def _det_m1a(report, a, n_max, k_max):
                 e = sum(sequences.s2(i + k) - sequences.s2(i) for i in range(n))
                 return abs(x) ** e
 
-            minors = _minor_sweep(report, families.M1(x), n_max, k,
-                                  expected, f"a={x}, k={k}", abs)
-            if minors is not None:
-                signs[f"a={x},k={k}"] = [1 if d > 0 else -1 for d in minors]
+            got = _minor_sweep(report, families.M1(x), n_max, k,
+                               expected, f"a={x}, k={k}", abs)
+            if got is not None:
+                signs[f"a={x},k={k}"] = got
     report.data["signs"] = signs
 
 
 def _leading_minors(fam, expected_fn, key=lambda d: d):
     """key(minor of order n) == expected_fn(n) for the leading minors of
-    fam; the minors are kept as data."""
+    fam; their signs are kept as data."""
     def sweep(report, n_max):
-        minors = _minor_sweep(report, fam, n_max, 0, expected_fn,
-                              families.family_name(fam), key)
-        if minors is not None:
-            report.data["signs"] = minors
+        signs = _minor_sweep(report, fam, n_max, 0, expected_fn,
+                             families.family_name(fam), key)
+        if signs is not None:
+            report.data["signs"] = signs
     return sweep
 
 

@@ -137,13 +137,13 @@ def test_failure_reporting():
         {"parameters": "n=1", "expected": "1", "actual": "2"}
 
 
-def _corrupt(monkeypatch, kind, a, i0, j0):
-    """Add 1 to entry (i0, j0) of the family kind at parameter a."""
+def _corrupt(monkeypatch, kind, a, i0, j0, delta=1):
+    """Add delta to entry (i0, j0) of the family kind at parameter a."""
     takes_a, make = families.KINDS[kind]
 
     def maker(x):
         f = make(x)
-        return f if x != a else lambda i, j: f(i, j) + ((i, j) == (i0, j0))
+        return f if x != a else lambda i, j: f(i, j) + delta * ((i, j) == (i0, j0))
 
     monkeypatch.setitem(families.KINDS, kind, (takes_a, maker))
 
@@ -178,6 +178,49 @@ def test_corrupted_entry_is_reported_by_entry(case, monkeypatch):
     report = verify.run_check(identity_id, **options)
     assert report.failures == [failure]
     assert report.checked == checked
+
+
+def _failure(parameters, expected, actual) -> dict:
+    return {"parameters": parameters, "expected": str(expected), "actual": str(actual)}
+
+
+# the minor sweeps: (identity, options, corrupted (kind, a, i, j, delta),
+# the failures, checked, data)
+CORRUPTED_MINORS = {
+    # the k=1 window of P1 gains 1 at (1,1): minors 1, 2, 4, 7
+    "det-p1": ("det-p1", {"n_max": 4, "k_max": 1}, ("P1", 1, 1, 2, 1),
+               [_failure(f"k=1, n={n}", 1, got) for n, got in ((2, 2), (3, 4), (4, 7))],
+               8, {}),
+    "det-m2-zero-minor": ("det-m2", {"n_max": 5}, ("M2", 0, 2, 2, 1),
+                          [_failure("M2", "nonzero minor", "zero minor of order 3")],
+                          5, {}),
+    # only |det| is predicted; the signs stay data
+    "det-m1a": ("det-m1a", {"a": (2,), "n_max": 4, "k_max": 0}, ("M1", 2, 1, 1, 1),
+                [_failure(f"a=2, k=0, n={n}", 1, 2) for n in (2, 3, 4)],
+                4, {"signs": {"a=2,k=0": [1, 1, 1, 1]}}),
+    "hankel-h1-zero-minor": ("hankel-h1", {"n_max": 6}, ("H1", 0, 0, 0, -1),
+                             [_failure("H1", "nonzero minor", "zero minor of order 1")],
+                             6, {}),
+    # the minors pass; the 7 x 7 anti-triangular window does not
+    "hankel-h2-anti-triangular": (
+        "hankel-h2", {"n_max": 4, "anti_k_max": 3}, ("H2", 0, 4, 2, 1),
+        [_failure("anti-triangular n=7, entry (4,2)", 1, 2)],
+        7, {"signs": [1, 1, -1, -1]}),
+    # the minors 3, -3, -5 are recorded as their signs
+    "hankel-h1-signs": ("hankel-h1", {"n_max": 3}, ("H1", 0, 0, 0, 2),
+                        [_failure(f"H1, n={n}", 1, got) for n, got in ((1, 3), (2, 3), (3, 5))],
+                        3, {"signs": [1, -1, -1]}),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTED_MINORS.values(), ids=CORRUPTED_MINORS)
+def test_corrupted_minor_sweep_fails(case, monkeypatch):
+    identity_id, options, corrupted, failures, checked, data = case
+    _corrupt(monkeypatch, *corrupted)
+    report = verify.run_check(identity_id, **options)
+    assert report.failures == failures
+    assert report.checked == checked
+    assert report.data == data
 
 
 def test_compare_blocks_names_the_smallest_failing_block():
