@@ -199,7 +199,7 @@ def _cmd_cf(args, out) -> int:
 
 
 def _cmd_seq(args, out) -> int:
-    values = [str(sequences.value(args.kind, i)) for i in range(args.count)]
+    values = [str(sequences.SEQUENCES[args.kind](i)) for i in range(args.count)]
     print(json.dumps(values), file=out)
     return 0
 

@@ -64,11 +64,9 @@ class ExactMatrix:
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
     def to_rows(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
+        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
+                for i in range(self.rows)]
 
     def transpose(self) -> "ExactMatrix":
         e = self.entries
@@ -84,9 +82,6 @@ class ExactMatrix:
         e = self.entries
         return ExactMatrix(n, n, tuple(e[i * self.cols + j]
                                        for i in range(n) for j in range(n)))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
 
 def window(gen, n: int, m: int | None = None, k: int = 0) -> ExactMatrix:
@@ -120,7 +115,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
-    if not a.is_square():
+    if a.rows != a.cols:
         raise ValueError("power requires a square matrix")
     if e < 0:
         raise ValueError(f"power requires a nonnegative exponent, got {e}")
@@ -151,7 +146,7 @@ def _bareiss(a: ExactMatrix, pivot: bool):
     A = L diag(D) U with L[i][k] = m[i][k]/m[k][k], U[k][j] = m[k][j]/m[k][k]
     and D[k] = m[k][k]/m[k-1][k-1].
     """
-    if not a.is_square():
+    if a.rows != a.cols:
         raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
     n = a.rows
     m = a.to_rows()
@@ -280,9 +275,9 @@ def to_json(a: ExactMatrix) -> str:
     return json.dumps({
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[str(x) for x in a.row(i)] for i in range(a.rows)],
+        "entries": [[str(x) for x in row] for row in a.to_rows()],
     })
 
 
 def to_csv(a: ExactMatrix) -> str:
-    return "\n".join(",".join(str(x) for x in a.row(i)) for i in range(a.rows))
+    return "\n".join(",".join(str(x) for x in row) for row in a.to_rows())

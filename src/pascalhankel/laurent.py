@@ -71,13 +71,6 @@ class Poly:
                     rem[k + j] -= c * y
         return Poly.make(quot), Poly.make(rem[:d])
 
-    def __str__(self) -> str:
-        return poly_str(self)
-
-
-POLY_ZERO = Poly(())
-POLY_ONE = Poly.make([1])
-
 
 def poly_str(p: Poly) -> str:
     """Render like "X", "-1*X", "X^2 + 1"."""
@@ -183,8 +176,8 @@ def convergent(cf: CFExpansion, upto: int):
     `upto` partial quotients, by the three-term recursion."""
     if upto > len(cf.partial_quotients):
         raise ValueError("not enough partial quotients")
-    p_prev, p_cur = POLY_ONE, cf.integer_part
-    q_prev, q_cur = POLY_ZERO, POLY_ONE
+    p_prev, p_cur = Poly.make([1]), cf.integer_part
+    q_prev, q_cur = Poly(()), Poly.make([1])
     for quotient in cf.partial_quotients[:upto]:
         p_prev, p_cur = p_cur, quotient * p_cur + p_prev
         q_prev, q_cur = q_cur, quotient * q_cur + q_prev

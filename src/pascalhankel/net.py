@@ -69,31 +69,30 @@ def compositions(total: int, parts: int):
         yield tuple(out)
 
 
-def stacked_rank_ok(p: int, windows: list, t: int, composition) -> bool:
-    """Full-row-rank test over F_p of the stacked (m-t) x m matrix built
-    from the first d_i rows of each m x m window (GeneratingSet.windows)."""
+def stacked_rank_ok(p: int, windows: list, composition) -> bool:
+    """Full-row-rank test over F_p of the stack of the first d_i rows of
+    each m x m window (GeneratingSet.windows): true iff its rank is sum(d_i)."""
     composition = tuple(composition)
     if len(composition) != len(windows) or any(d < 0 for d in composition):
         raise ValueError("composition must have s nonnegative parts")
-    m = len(windows[0])
-    if sum(composition) != m - t:
-        raise ValueError("composition must sum to m - t")
     rows = [row for w, d in zip(windows, composition) for row in w[:d]]
-    return exact._rank_reduced(rows, p) == m - t
+    return exact._rank_reduced(rows, p) == sum(composition)
 
 
 def t_value(gs: GeneratingSet, m_max: int) -> list:
-    """Minimal t per depth m = 1..m_max, exhaustive over compositions."""
+    """Minimal t = m - k per depth m = 1..m_max, k the largest strength whose
+    compositions all pass.  Strength k implies every k' < k, and a depth-m stack
+    is the depth-(m-1) stack with one more column, so each depth resumes at k."""
     if m_max < 1:
         raise ValueError("m_max must be positive")
     out = []
+    strength = 0
     for m in range(1, m_max + 1):
         windows = gs.windows(m)
-        for t in range(m + 1):
-            if all(stacked_rank_ok(gs.p, windows, t, c)
-                   for c in compositions(m - t, len(windows))):
-                out.append(t)
-                break
+        while strength < m and all(stacked_rank_ok(gs.p, windows, c)
+                                   for c in compositions(strength + 1, len(windows))):
+            strength += 1
+        out.append(m - strength)
     return out
 
 

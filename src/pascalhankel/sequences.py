@@ -62,10 +62,3 @@ SEQUENCES = {
     "catalan_interspersed_mod2": lambda i: catalan_interspersed(i) % 2,
     "paperfolding": _paperfold,
 }
-
-
-def value(kind: str, i: int) -> int:
-    """Total function N0 -> Z for any named sequence kind."""
-    if kind not in SEQUENCES:
-        raise ValueError(f"unknown sequence kind: {kind}")
-    return SEQUENCES[kind](i)

@@ -63,7 +63,7 @@ def test_criterion_5_qualification():
                 pair = net.GeneratingSet(p, (fam.M1(a), fam.M1(b)))
                 ok = ok and net.t_value(pair, 8) == [0] * 8
     triple = net.GeneratingSet(3, (fam.M1(0), fam.M1(1), fam.M1(2)))
-    ok = ok and not net.stacked_rank_ok(3, triple.windows(3), 0, (1, 1, 1))
+    ok = ok and not net.stacked_rank_ok(3, triple.windows(3), (1, 1, 1))
     remark1 = exact.ExactMatrix.from_rows([[1, 0, 0], [1, 1, 1], [1, 2, 2]])
     ok = ok and exact.rank_mod_p(remark1, 3) == 2
     report("criterion 5: (0,s)-qualification sweeps and the base-3 "
@@ -130,7 +130,7 @@ def test_criterion_8_oracle_equivalences():
             if not m2[i][j] == lucas_binom_mod2(i, i + j) == math.comb(i + j, i) % 2:
                 ok = False
     for k in range(2 ** 14 + 1):
-        if seq.value("catalan_interspersed_mod2", k) != h2_structure_entry(k, 0):
+        if seq.SEQUENCES["catalan_interspersed_mod2"](k) != h2_structure_entry(k, 0):
             ok = False
     report("criterion 8: Bareiss vs cofactor, M2 vs Lucas vs binomial parity, "
            "mod-2 Catalan closed form", ok, time.time() - t0)

@@ -238,6 +238,8 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run(["net", "t-value", "--p", "3", "--dims", "M1:a=0,Q7", "--m-max", "2"])
     assert code == 2
+    code, _ = run(["seq", "fibonacci", "--count", "1"])
+    assert code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,10 +334,10 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     from pascalhankel import sequences
 
     for error in (ValueError, TypeError):
-        def crash(kind, i, error=error):
+        def crash(i, error=error):
             raise error("boom")
 
-        monkeypatch.setattr(sequences, "value", crash)
+        monkeypatch.setitem(sequences.SEQUENCES, "catalan", crash)
         code, _ = run(["seq", "catalan", "--count", "2"])
         assert code == 3
     assert "TypeError: boom" in capsys.readouterr().err

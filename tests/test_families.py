@@ -43,7 +43,7 @@ def test_h2_structure_matches_catalan_mod2():
     # entries depend on i+j only, so sweeping the anti-diagonal index
     # covers every (i, j) with i, j <= 2048
     for k in range(2 * 2048 + 1):
-        assert seq.value("catalan_interspersed_mod2", k) == h2_structure_entry(k, 0)
+        assert seq.SEQUENCES["catalan_interspersed_mod2"](k) == h2_structure_entry(k, 0)
 
 
 @pytest.mark.parametrize("f, k, closed_form", [

@@ -156,7 +156,7 @@ def test_cf_expand_l2_paperfolding_signs():
         assert q.coeffs[0] == 0
         assert q.coeffs[1] in (1, -1)
         signs.append(int(q.coeffs[1]))
-    assert signs == [seq.value("paperfolding", i) for i in range(30)]
+    assert signs == [seq.SEQUENCES["paperfolding"](i) for i in range(30)]
 
 
 def test_cf_expand_certified_quotient_count():

@@ -35,12 +35,16 @@ def test_compositions():
 
 def test_stacked_rank_examples():
     pair = gs(2, fam.M1(0), fam.M1(1))
-    assert net.stacked_rank_ok(2, pair.windows(2), 0, (1, 1))
+    assert net.stacked_rank_ok(2, pair.windows(2), (1, 1))
+    # a stack of k rows passes on its rank alone, at any depth m >= k
+    assert net.stacked_rank_ok(2, pair.windows(3), (1, 1))
     triple = gs(3, fam.M1(0), fam.M1(1), fam.M1(2))
-    assert not net.stacked_rank_ok(3, triple.windows(3), 0, (1, 1, 1))
-    assert net.stacked_rank_ok(3, triple.windows(2), 2, (0, 0, 0))
+    assert not net.stacked_rank_ok(3, triple.windows(3), (1, 1, 1))
+    assert net.stacked_rank_ok(3, triple.windows(2), (0, 0, 0))
     with pytest.raises(ValueError):
-        net.stacked_rank_ok(2, pair.windows(3), 0, (1, 1))
+        net.stacked_rank_ok(2, pair.windows(3), (1, 1, 1))
+    with pytest.raises(ValueError):
+        net.stacked_rank_ok(2, pair.windows(3), (2, -1))
 
 
 def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
@@ -58,8 +62,8 @@ def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
     g = gs(3, fam.M1(0), fam.M1(1), fam.M1(2))
     assert net.t_value(g, 6)[-1] >= 1
     table = g.windows(6)
-    results = [net.stacked_rank_ok(3, table, t, c)
-               for t in range(7) for c in net.compositions(6 - t, 3)]
+    results = [net.stacked_rank_ok(3, table, c)
+               for k in range(7) for c in net.compositions(k, 3)]
     assert True in results and False in results
     assert len(tables) == 7
     assert all(table == snapshot for table, snapshot in tables)
@@ -72,8 +76,8 @@ def test_t_value_van_der_corput():
 def test_t_value_faure_pairs_and_counterexample():
     assert net.t_value(gs(2, fam.P1(0), fam.P1(1)), 8) == [0] * 8
     assert net.t_value(gs(3, fam.M1(1), fam.M1(2)), 8) == [0] * 8
-    ts = net.t_value(gs(3, fam.M1(0), fam.M1(1), fam.M1(2)), 3)
-    assert ts[2] >= 1
+    assert net.t_value(gs(3, fam.M1(0), fam.M1(1), fam.M1(2)), 28) == \
+        [0, 0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 4, 5, 4, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 8]
 
 
 def test_t_value_explicit_matrix_generator():
@@ -85,6 +89,39 @@ def test_t_value_explicit_matrix_generator():
         net.t_value(short, 6)
     with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
         net.digital_points(short, 3, 6)
+
+
+def t_values_by_fresh_search(g, m_max):
+    """Reference: at every depth m, the least t = 0, 1, 2, ... for which
+    every composition of m - t stacks to full rank, searched afresh."""
+    out = []
+    for m in range(1, m_max + 1):
+        windows = g.windows(m)
+        out.append(next(t for t in range(m + 1)
+                        if all(net.stacked_rank_ok(g.p, windows, c)
+                               for c in net.compositions(m - t, len(windows)))))
+    return out
+
+
+def test_t_value_matches_fresh_search_on_random_generators():
+    """Resuming each depth at the last strength finds the t of a search
+    from t = 0, on unitriangular and on dense, possibly singular, windows."""
+    rng = random.Random(2026)
+    lists = []
+    for p in (2, 3, 5):
+        for s in (1, 2, 3):
+            for _ in range(8):
+                gens = [net.random_upper_unitriangular(7, p, rng) if rng.random() < 0.5
+                        else exact.ExactMatrix.from_rows([[rng.randrange(p) for _ in range(7)]
+                                                          for _ in range(7)])
+                        for _ in range(s)]
+                g = gs(p, *gens)
+                ts = net.t_value(g, 7)
+                assert ts == t_values_by_fresh_search(g, 7), (p, s, ts)
+                lists.append(ts)
+    # some depth gains three or more strengths, so t falls by two or more
+    steps = [b - a for ts in lists for a, b in zip(ts, ts[1:])]
+    assert min(steps) <= -2 and max(map(max, lists)) >= 3
 
 
 def least_t_by_box_counts(g, m):

