@@ -236,37 +236,40 @@ def rank_mod_p(a: ExactMatrix, p: int) -> int:
     """Rank of A reduced entrywise mod p, by Gaussian elimination over F_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _rank_reduced([[x % p for x in row] for row in a.to_rows()], p)
+    basis = {}
+    for i, row in enumerate(a.to_rows()):
+        _insert(basis, [x % p for x in row], -i, p)
+    return len(basis)
 
 
-def _rank_reduced(rows: list, p: int) -> int:
-    """Rank over F_p of rows whose entries already lie in 0..p-1.
+def _insert(basis: dict, row: list, time: int, p: int) -> None:
+    """Insert a row with entries in 0..p-1, stamped `time`, into `basis`:
+    the one F_p elimination.
 
-    The one F_p elimination.  Pivot choice is the lowest-index nonzero
-    row, so runs are reproducible.  It rebinds rows and never mutates
-    them: callers pass rows of a shared table.
+    `basis` maps a leading (lowest nonzero) column to (time, row, inverse of
+    the row's lead).  On a collision the newer row keeps the column and the
+    older one, reduced by it, goes on; so for every l the kept rows of time
+    >= l span the inserted rows of time >= l, and a stack inserted with
+    decreasing times never swaps.  Rows are rebound, never mutated: callers
+    pass rows of a shared table.
     """
-    m = list(rows)
-    nrows = len(m)
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        for piv in range(rank, nrows):
-            if m[piv][c]:
-                break
-        else:
-            continue
-        prow = m[piv]
-        m[piv] = m[rank]
-        rank += 1
-        if rank == nrows:
-            break
-        inv = pow(prow[c], -1, p)
-        for i in range(rank, nrows):
-            f = m[i][c]
-            if f:
-                f = f * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
-    return rank
+    n = len(row)
+    c = 0
+    while True:
+        while c < n and not row[c]:
+            c += 1
+        if c == n:
+            return
+        kept = basis.get(c)
+        if kept is None or kept[0] < time:
+            basis[c] = (time, row, pow(row[c], -1, p))
+            if kept is None:
+                return
+            time, row, _ = kept
+        _, pivot, inv = basis[c]
+        f = row[c] * inv % p
+        row = [0] * c + [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
+        c += 1
 
 
 # --- serialization ---------------------------------------------------------

@@ -38,35 +38,24 @@ class GeneratingSet:
     def windows(self, m: int) -> list:
         """Each generator's m x m upper-left window reduced mod p, as lists
         of rows: the one table the rank tests and the points read."""
-        out = []
-        for g in self.generators:
-            if isinstance(g, exact.ExactMatrix):
-                if g.rows < m or g.cols < m:
-                    raise ValueError(f"explicit generator is {g.rows}x{g.cols}, "
-                                     f"smaller than depth {m}")
-                w = g.submatrix(m)
-            else:
-                w = families.window_of(g, m)
-            out.append([[x % self.p for x in row] for row in w.to_rows()])
-        return out
+        return [_window(g, m, self.p) for g in self.generators]
+
+
+def _window(g, m: int, p: int) -> list:
+    if isinstance(g, exact.ExactMatrix):
+        if g.rows < m or g.cols < m:
+            raise ValueError(f"explicit generator is {g.rows}x{g.cols}, "
+                             f"smaller than depth {m}")
+        w = g.submatrix(m)
+    else:
+        w = families.window_of(g, m)
+    return [[x % p for x in row] for row in w.to_rows()]
 
 
 @dataclass(frozen=True)
 class PointSet:
     s: int
     points: tuple  # tuples of Fractions in [0, 1)
-
-
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for c in cut:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
 
 
 def stacked_rank_ok(p: int, windows: list, composition) -> bool:
@@ -76,21 +65,91 @@ def stacked_rank_ok(p: int, windows: list, composition) -> bool:
     if len(composition) != len(windows) or any(d < 0 for d in composition):
         raise ValueError("composition must have s nonnegative parts")
     rows = [row for w, d in zip(windows, composition) for row in w[:d]]
-    return exact._rank_reduced(rows, p) == sum(composition)
+    basis = {}
+    for i, row in enumerate(rows):
+        exact._insert(basis, row, -i, p)
+    return len(basis) == sum(composition)
 
 
 def t_value(gs: GeneratingSet, m_max: int) -> list:
     """Minimal t = m - k per depth m = 1..m_max, k the largest strength whose
-    compositions all pass.  Strength k implies every k' < k, and a depth-m stack
-    is the depth-(m-1) stack with one more column, so each depth resumes at k."""
+    compositions all pass, from the windows built once at m_max."""
+    # an explicit generator too small for m_max fails at the first depth it
+    # cannot reach, as a depth-by-depth search would
+    reach = min((min(g.rows, g.cols) for g in gs.generators
+                 if isinstance(g, exact.ExactMatrix)), default=m_max)
+    return _t_values(gs.p, gs.windows(min(m_max, reach + 1)), m_max)
+
+
+def _t_values(p: int, windows: list, m_max: int) -> list:
+    """t per depth 1..m_max from m_max x m_max windows reduced mod p, in one
+    pass that keeps the echelon form of the rows already stacked (Pirsic &
+    Schmid, J. Complexity 17 (2001)); about R^4 steps for three generators.
+
+    need(c), the least depth at which composition c's stack has full rank,
+    is 1 + the largest leading column of its basis.  T[k], the largest need
+    over the compositions of k, never falls, so the strength at depth m is
+    the largest k <= m with T[k] <= m.  The walk over d_1..d_{s-2} stamps
+    their rows newest, so every window keeps them.  The stacks Y[:a] + X[:b]
+    of the last two generators are the windows of Y_{R-1}..Y_0, X_0..X_{R-1}
+    around the boundary: once row r is in, window [l, r] has rank
+    #{kept rows of time >= l}, and at depth m #{those of lead < m}.
+    """
     if m_max < 1:
         raise ValueError("m_max must be positive")
+    never = m_max + 1
+    worst = [0] * (m_max + 1)  # largest need found over the compositions of k
+
+    def last_two(xs, ys, used, prefix):
+        budget = m_max - used
+        basis = dict(prefix)
+        for a in range(min(budget, len(ys)), 0, -1):
+            exact._insert(basis, ys[a - 1], -a, p)
+        for b in range(budget + 1):
+            if b:
+                exact._insert(basis, xs[b - 1], b - 1, p)
+            # the prefix rows, stamped newest, and X[:b] are in every window
+            count, top, leads = 0, 0, {}
+            for c, (time, _, _) in basis.items():
+                if time >= 0:
+                    count += 1
+                    top = max(top, c + 1)
+                else:
+                    leads[-time] = c
+            for a in range(min(budget - b, len(ys)) + 1):
+                if a in leads:
+                    count += 1
+                    top = max(top, leads[a] + 1)
+                if count < used + a + b:
+                    # every larger a (and, from a = 0, every larger b) fails too
+                    worst[used + a + b] = never
+                    if a == 0:
+                        return
+                    break
+                worst[used + a + b] = max(worst[used + a + b], top)
+
+    def walk(gens, used, prefix):
+        if len(gens) <= 2:
+            last_two(gens[0], gens[1] if len(gens) == 2 else [], used, prefix)
+            return
+        prefix = dict(prefix)
+        for d in range(m_max - used + 1):
+            walk(gens[1:], used + d, prefix)
+            if used + d == m_max:
+                return
+            exact._insert(prefix, gens[0][d], m_max + used + d, p)
+            if len(prefix) == used + d:  # singular, and so is every extension
+                worst[used + d + 1] = never
+                return
+
+    walk(windows, 0, {})
+    # T[k]; each composition the walk skipped is singular, as is one of a
+    # smaller k that it recorded as never
+    big_t = list(itertools.accumulate(worst, max))
     out = []
     strength = 0
     for m in range(1, m_max + 1):
-        windows = gs.windows(m)
-        while strength < m and all(stacked_rank_ok(gs.p, windows, c)
-                                   for c in compositions(strength + 1, len(windows))):
+        while strength < m and big_t[strength + 1] <= m:
             strength += 1
         out.append(m - strength)
     return out
@@ -194,7 +253,7 @@ def search_third_matrix(p: int, m_max: int, candidate_generator: str,
     candidate_generator "m1" walks M1(a) for a = 2, 3, ...; "random" draws
     seeded random upper unitriangular matrices of size m_max.
     """
-    base = (families.M1(0), families.M1(1))
+    base = GeneratingSet(p, (families.M1(0), families.M1(1))).windows(m_max)
     results = []
     if candidate_generator == "m1":
         candidates = [(f"M1:a={a}", families.M1(a))
@@ -206,8 +265,7 @@ def search_third_matrix(p: int, m_max: int, candidate_generator: str,
     else:
         raise ValueError(f"unknown candidate generator: {candidate_generator!r}")
     for name, cand in candidates:
-        gs = GeneratingSet(p, base + (cand,))
-        ts = t_value(gs, m_max)
+        ts = _t_values(p, base + [_window(cand, m_max, p)], m_max)
         results.append({"candidate": name, "t_per_m": ts, "t": max(ts)})
     results.sort(key=lambda r: (r["t"], r["candidate"]))
     return results

@@ -245,6 +245,10 @@ def span_size_mod_p(rows, p, cols):
 
 
 def test_shared_rank_loop_matches_span_enumeration():
+    """The one F_p elimination, exact._insert: a stack inserted with
+    decreasing times keeps rank-many rows; inserted with increasing times,
+    the kept rows of time >= l and lead < m count the rank of rows l.. cut
+    to their first m columns."""
     rng = random.Random(7)
     seen = set()
     for p in (2, 3, 5, 7):
@@ -257,11 +261,22 @@ def test_shared_rank_loop_matches_span_enumeration():
             for i in rng.sample(range(nrows), nrows // 3):
                 rows[i] = [0] * cols
             before = [list(r) for r in rows]
-            r = exact._rank_reduced(rows, p)
+            basis = {}
+            for i, row in enumerate(rows):
+                exact._insert(basis, row, -i, p)
+            r = len(basis)
             assert p ** r == span_size_mod_p(rows, p, cols), (p, rows)
-            assert rows == before  # the loop rebinds rows, never mutates them
             assert exact.rank_mod_p(ExactMatrix(nrows, cols, tuple(x for row in rows
                                                                     for x in row)), p) == r
+            basis = {}
+            for i, row in enumerate(rows):
+                exact._insert(basis, row, i, p)
+            for l in range(nrows + 1):
+                for m in range(cols + 1):
+                    kept = sum(1 for c, (time, _, _) in basis.items() if time >= l and c < m)
+                    cut = [row[:m] for row in rows[l:]]
+                    assert p ** kept == span_size_mod_p(cut, p, m), (p, rows, l, m)
+            assert rows == before  # the loop rebinds rows, never mutates them
             seen.add((nrows > cols, r == min(nrows, cols)))
     # wide, tall, full-rank and rank-deficient matrices all occur
     assert seen == {(False, False), (False, True), (True, False), (True, True)}

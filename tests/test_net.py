@@ -27,10 +27,22 @@ def test_generating_set_validation():
         net.GeneratingSet(2, ())
 
 
+def compositions(total, parts):
+    """Oracle helper: all tuples of `parts` nonnegative integers summing to `total`."""
+    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for c in cut:
+            out.append(c - prev - 1)
+            prev = c
+        out.append(total + parts - 2 - prev)
+        yield tuple(out)
+
+
 def test_compositions():
-    assert sorted(net.compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert list(net.compositions(0, 3)) == [(0, 0, 0)]
-    assert len(list(net.compositions(5, 3))) == math.comb(7, 2)
+    assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(compositions(0, 3)) == [(0, 0, 0)]
+    assert len(list(compositions(5, 3))) == math.comb(7, 2)
 
 
 def test_stacked_rank_examples():
@@ -48,8 +60,8 @@ def test_stacked_rank_examples():
 
 
 def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
-    """t_value shares one windows table across every composition of a
-    depth, so the rank loop must rebind rows, never mutate them."""
+    """t_value builds one windows table, at m_max, and eliminates rows read
+    from it, so the elimination must rebind rows, never mutate them."""
     tables = []
     windows = net.GeneratingSet.windows
 
@@ -63,9 +75,9 @@ def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
     assert net.t_value(g, 6)[-1] >= 1
     table = g.windows(6)
     results = [net.stacked_rank_ok(3, table, c)
-               for k in range(7) for c in net.compositions(k, 3)]
+               for k in range(7) for c in compositions(k, 3)]
     assert True in results and False in results
-    assert len(tables) == 7
+    assert len(tables) == 2
     assert all(table == snapshot for table, snapshot in tables)
 
 
@@ -76,8 +88,11 @@ def test_t_value_van_der_corput():
 def test_t_value_faure_pairs_and_counterexample():
     assert net.t_value(gs(2, fam.P1(0), fam.P1(1)), 8) == [0] * 8
     assert net.t_value(gs(3, fam.M1(1), fam.M1(2)), 8) == [0] * 8
-    assert net.t_value(gs(3, fam.M1(0), fam.M1(1), fam.M1(2)), 28) == \
-        [0, 0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 4, 5, 4, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 8]
+    # the depth-by-depth search that the one pass replaced gives the same list
+    assert net.t_value(gs(3, fam.M1(0), fam.M1(1), fam.M1(2)), 64) == list(map(int, (
+        "0 0 1 0 1 2 2 0 1 2 3 4 5 4 4 0 1 2 3 4 5 6 7 8 9 10 10 8 9 8 8 0 "
+        "1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 20 20 16 17 18 18 16 17 16 16 0"
+    ).split()))
 
 
 def test_t_value_explicit_matrix_generator():
@@ -99,29 +114,57 @@ def t_values_by_fresh_search(g, m_max):
         windows = g.windows(m)
         out.append(next(t for t in range(m + 1)
                         if all(net.stacked_rank_ok(g.p, windows, c)
-                               for c in net.compositions(m - t, len(windows)))))
+                               for c in compositions(m - t, len(windows)))))
     return out
 
 
+def random_generator(size, p, rng):
+    """A unitriangular or a dense, possibly singular, matrix; one in four
+    has a zero row and one in four repeats an earlier row."""
+    if rng.random() < 0.5:
+        rows = net.random_upper_unitriangular(size, p, rng).to_rows()
+    else:
+        rows = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+    kind = rng.randrange(4)
+    i = rng.randrange(1, size)
+    if kind == 0:
+        rows[i] = [0] * size
+    elif kind == 1:
+        rows[i] = list(rows[rng.randrange(i)])
+    return exact.ExactMatrix.from_rows(rows), kind < 2
+
+
 def test_t_value_matches_fresh_search_on_random_generators():
-    """Resuming each depth at the last strength finds the t of a search
-    from t = 0, on unitriangular and on dense, possibly singular, windows."""
+    """The one pass finds the t of a search from t = 0 at every depth, on
+    unitriangular and on dense, possibly singular, windows, with zero and
+    repeated rows in the leading generators (a singular prefix)."""
     rng = random.Random(2026)
     lists = []
-    for p in (2, 3, 5):
-        for s in (1, 2, 3):
-            for _ in range(8):
-                gens = [net.random_upper_unitriangular(7, p, rng) if rng.random() < 0.5
-                        else exact.ExactMatrix.from_rows([[rng.randrange(p) for _ in range(7)]
-                                                          for _ in range(7)])
-                        for _ in range(s)]
-                g = gs(p, *gens)
-                ts = net.t_value(g, 7)
-                assert ts == t_values_by_fresh_search(g, 7), (p, s, ts)
+    singular_prefix = 0
+    for p in (2, 3, 5, 7):
+        for s in (1, 2, 3, 4):
+            for _ in range(6):
+                drawn = [random_generator(10, p, rng) for _ in range(s)]
+                g = gs(p, *(c for c, _ in drawn))
+                ts = net.t_value(g, 10)
+                assert ts == t_values_by_fresh_search(g, 10), (p, s, ts)
                 lists.append(ts)
+                singular_prefix += any(dependent for _, dependent in drawn[:s - 2])
     # some depth gains three or more strengths, so t falls by two or more
     steps = [b - a for ts in lists for a, b in zip(ts, ts[1:])]
     assert min(steps) <= -2 and max(map(max, lists)) >= 3
+    assert singular_prefix >= 5
+
+
+def test_t_value_when_the_last_two_parts_are_zero():
+    """Row i of the shift has its one in column i + 1, so (d, 0, 0) needs
+    depth d + 1: more than any composition with a row of the last two."""
+    shift = exact.ExactMatrix.from_rows([[int(j == i + 1) for j in range(6)]
+                                         for i in range(6)])
+    g = gs(3, shift, fam.M1(1), fam.M1(2))
+    assert net.t_value(g, 6) == t_values_by_fresh_search(g, 6) == [1, 1, 1, 1, 1, 2]
+    g = gs(3, fam.M1(1), shift, fam.M1(2), fam.M1(1))
+    assert net.t_value(g, 6) == t_values_by_fresh_search(g, 6)
 
 
 def least_t_by_box_counts(g, m):
@@ -133,7 +176,7 @@ def least_t_by_box_counts(g, m):
     for t in range(m + 1):
         if all(set(Counter(tuple(math.floor(x * p ** d) for x, d in zip(pt, comp))
                            for pt in ps.points).values()) == {p ** t}
-               for comp in net.compositions(m - t, ps.s)):
+               for comp in compositions(m - t, ps.s)):
             return t
 
 
