@@ -171,12 +171,48 @@ def _bareiss(a: ExactMatrix, pivot: bool):
 
 
 def determinant(a: ExactMatrix):
-    """Exact determinant by single-step Bareiss fraction-free elimination."""
-    try:
-        m, sign = _bareiss(a, pivot=True)
-    except SingularMinorError:
+    """Exact determinant, block by block.
+
+    Rows and columns are split into the connected components of the
+    bipartite graph that joins row i to column j wherever a[i][j] != 0.
+    Listing the rows, and the columns, component by component makes the
+    matrix block diagonal, so the determinant is the sign of the two
+    orders times the product of the blocks' pivoting Bareiss determinants.
+    A component with unequal numbers of rows and columns makes it 0.
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
+    n, e = a.rows, a.entries
+    parent = list(range(2 * n))  # rows 0..n-1, then columns n..2n-1
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i in range(n):
+        root = find(i)
+        for j in range(n):
+            if e[i * n + j]:
+                parent[find(n + j)] = root
+    components = {}
+    for v in range(2 * n):
+        components.setdefault(find(v), ([], []))[v >= n].append(v % n)
+    blocks = list(components.values())
+    if any(len(rows) != len(cols) for rows, cols in blocks):
         return 0
-    return sign * m[-1][-1] if m else 1
+    value = 1
+    for rows, cols in blocks:
+        block = ExactMatrix(len(rows), len(cols), tuple(e[i * n + j] for i in rows for j in cols))
+        try:
+            m, sign = _bareiss(block, pivot=True)
+        except SingularMinorError:
+            return 0
+        value *= sign * m[-1][-1]
+    order = [[i for rows, _ in blocks for i in rows], [j for _, cols in blocks for j in cols]]
+    inversions = sum(p > q for perm in order for s, p in enumerate(perm) for q in perm[s + 1:])
+    return -value if inversions % 2 else value
 
 
 def leading_principal_minors(a: ExactMatrix) -> list:

@@ -29,6 +29,8 @@ def test_matrix_det():
     code, out = run(["matrix", "det", "--family", "M2", "--n", "3"])
     assert code == 0
     assert out.strip() == "1"
+    # a window of H1 with parity classes of unequal size: no Bareiss pass
+    assert run("matrix det --family H1 --n 41 --k 401".split()) == (0, "0\n")
 
 
 def test_matrix_show_csv_and_json():

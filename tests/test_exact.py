@@ -113,9 +113,29 @@ def test_determinant_non_square():
 
 
 def test_determinant_singular_and_pivoting():
+    # a zero row: a block of 1 row and no column
     assert exact.determinant(ExactMatrix.from_rows([[0, 0], [1, 1]])) == 0
+    # rows 0 and 1 meet column 0 alone: a block of 2 rows and 1 column
+    assert exact.determinant(ExactMatrix.from_rows([[3, 0, 0], [5, 0, 0], [0, 1, 2]])) == 0
     # zero upper-left pivot forces a row swap
     assert exact.determinant(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
+
+
+def test_determinant_of_permutation_matrix_is_its_sign():
+    # every block is 1x1; the sign comes from the cycle type, (-1)^(n - cycles)
+    rng = random.Random(15)
+    for n in range(1, 9):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cycles, seen = 0, set()
+        for start in range(n):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+        a = ExactMatrix.from_rows([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+        assert exact.determinant(a) == (-1) ** (n - cycles)
 
 
 def test_bareiss_matches_cofactor_oracle():

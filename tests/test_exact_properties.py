@@ -1,4 +1,5 @@
-"""Property tests of the Bareiss kernel against the cofactor oracle."""
+"""Property tests of the Bareiss kernel and the block split against the
+cofactor oracle."""
 
 from __future__ import annotations
 
@@ -41,3 +42,30 @@ def test_leading_minors_are_leading_submatrix_determinants(rows):
         assert err.value.order == want.index(0) + 1
     else:
         assert exact.leading_principal_minors(a) == want
+
+
+@st.composite
+def shuffled_block_diagonal(draw):
+    """Block-diagonal matrices of 1-3 blocks of order 1-4, a repeated row
+    making some blocks singular, with rows and columns then shuffled."""
+    blocks = []
+    for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        block = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+        if n > 1 and draw(st.booleans()):
+            block[-1] = block[0]
+        blocks.append(block)
+    size = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + r + [0] * (size - at - len(b)) for r in b]
+        at += len(b)
+    row_order = draw(st.permutations(range(size)))
+    col_order = draw(st.permutations(range(size)))
+    return [[rows[i][j] for j in col_order] for i in row_order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_block_diagonal())
+def test_determinant_matches_cofactor_on_shuffled_blocks(rows):
+    assert exact.determinant(ExactMatrix.from_rows(rows)) == cofactor_determinant(rows)

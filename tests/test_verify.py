@@ -113,6 +113,34 @@ def test_hankel_minors():
     assert abs(exact.determinant(families.window_of(families.H2, 3))) == 1
 
 
+def catalan_hankel(n, k):
+    """det(C_{k+i+j})_{0<=i,j<n} = prod_{1<=i<=j<=k-1} (i+j+2n)/(i+j)
+    (Desainte-Catherine and Viennot, LNM 1234, 1986)."""
+    num = den = 1
+    for j in range(1, k):
+        for i in range(1, j + 1):
+            num *= i + j + 2 * n
+            den *= i + j
+    assert num % den == 0
+    return num // den
+
+
+def h1_window_det_abs(n, k):
+    """|det| of the n x n window of H1 at column k: H1 is a checkerboard,
+    so its window is, up to row and column order, two Catalan Hankel
+    blocks of the rows of each parity, or singular when they cannot be
+    square."""
+    if k % 2 == 0:
+        return catalan_hankel((n + 1) // 2, k // 2) * catalan_hankel(n // 2, k // 2 + 1)
+    return catalan_hankel(n // 2, (k + 1) // 2) ** 2 if n % 2 == 0 else 0
+
+
+def test_h1_window_determinant_closed_form():
+    for n, k in [(n, k) for n in range(13) for k in range(14)] + [(40, 400)]:
+        det = exact.determinant(families.window_of(families.H1, n, None, k))
+        assert abs(det) == h1_window_det_abs(n, k), (n, k)
+
+
 def test_ldu_of_m2_diagonal_is_thue_morse_signs():
     factors = exact.ldu_decompose(families.window_of(families.M2, 32))
     assert list(factors.D) == \
