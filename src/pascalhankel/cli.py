@@ -127,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     np_.add_argument("--dims", type=_dims, required=True)
     np_.add_argument("--m", type=_nonnegative, required=True)
     np_.add_argument("--n", type=_nonnegative, required=True, help="at most p^m points")
-    np_.add_argument("--format", choices=("csv",), default="csv")
     nd = nsub.add_parser("discrepancy")
     nd.add_argument("--input", required=True, help="points CSV, rationals as num/den")
     ns = nsub.add_parser("search")

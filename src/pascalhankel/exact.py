@@ -24,8 +24,8 @@ class SingularMinorError(ValueError):
 class ExactMatrix:
     """Immutable row-major rectangular matrix of exact numbers.
 
-    Entries are Python ints (or Fractions for triangular factors).  Empty
-    matrices are allowed; the determinant of the 0x0 matrix is 1.
+    Entries are Python ints, or Fractions in the L and U of ldu_decompose.
+    Empty matrices are allowed; the determinant of the 0x0 matrix is 1.
     """
 
     rows: int
@@ -52,13 +52,6 @@ class ExactMatrix:
         return ExactMatrix(n, n, tuple(1 if i == j else 0
                                        for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def diagonal(values) -> "ExactMatrix":
-        values = list(values)
-        n = len(values)
-        return ExactMatrix(n, n, tuple(values[i] if i == j else 0
-                                       for i in range(n) for j in range(n)))
-
     def get(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
@@ -74,14 +67,6 @@ class ExactMatrix:
         return ExactMatrix(m, self.rows,
                            tuple(e[i * m + j] for j in range(m)
                                  for i in range(self.rows)))
-
-    def submatrix(self, n: int) -> "ExactMatrix":
-        """Upper-left n x n block."""
-        if n > self.rows or n > self.cols:
-            raise ValueError("submatrix larger than matrix")
-        e = self.entries
-        return ExactMatrix(n, n, tuple(e[i * self.cols + j]
-                                       for i in range(n) for j in range(n)))
 
 
 def window(gen, n: int, m: int | None = None, k: int = 0) -> ExactMatrix:
@@ -130,8 +115,16 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
     return result
 
 
+def _square_of_ints(a: ExactMatrix) -> None:
+    """The elimination kernels' input check: // would floor a Fraction."""
+    if a.rows != a.cols:
+        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
+    if not all(isinstance(x, int) for x in a.entries):
+        raise ValueError("integer entries required")
+
+
 def _bareiss(a: ExactMatrix, pivot: bool):
-    """Single-step Bareiss fraction-free elimination of a square matrix.
+    """Single-step Bareiss fraction-free elimination of a square int matrix.
 
     Returns the eliminated rows m and the sign of the row permutation.
     With pivot a zero pivot is swapped with the first lower row that is
@@ -146,8 +139,6 @@ def _bareiss(a: ExactMatrix, pivot: bool):
     A = L diag(D) U with L[i][k] = m[i][k]/m[k][k], U[k][j] = m[k][j]/m[k][k]
     and D[k] = m[k][k]/m[k-1][k-1].
     """
-    if a.rows != a.cols:
-        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
     n = a.rows
     m = a.to_rows()
     sign = 1
@@ -180,8 +171,7 @@ def determinant(a: ExactMatrix):
     orders times the product of the blocks' pivoting Bareiss determinants.
     A component with unequal numbers of rows and columns makes it 0.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
+    _square_of_ints(a)
     n, e = a.rows, a.entries
     parent = list(range(2 * n))  # rows 0..n-1, then columns n..2n-1
 
@@ -220,6 +210,7 @@ def leading_principal_minors(a: ExactMatrix) -> list:
     fraction-free pass.  Requires every minor nonzero (no pivoting);
     raises SingularMinorError otherwise.
     """
+    _square_of_ints(a)
     m, _ = _bareiss(a, pivot=False)
     return [m[k][k] for k in range(len(m))]
 
@@ -237,6 +228,7 @@ def ldu_decompose(a: ExactMatrix) -> LDUFactors:
     D_k equals det(A^(k+1))/det(A^(k)); raises SingularMinorError at the
     first vanishing leading principal minor.
     """
+    _square_of_ints(a)
     m, _ = _bareiss(a, pivot=False)
     n = len(m)
     minors = [1] + [m[k][k] for k in range(n)]

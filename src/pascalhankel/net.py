@@ -1,6 +1,6 @@
 """Digital (t,s)-sequence machinery over F_p.
 
-Stacked-rank qualification checks, per-depth t-values, digital-method
+Per-depth t-values from stacked-rank qualification, digital-method
 point generation with exact rational coordinates, exact star discrepancy
 in dimensions 1 and 2, and a search harness for a third base-3 generating
 matrix.
@@ -42,33 +42,18 @@ class GeneratingSet:
 
 
 def _window(g, m: int, p: int) -> list:
-    if isinstance(g, exact.ExactMatrix):
-        if g.rows < m or g.cols < m:
-            raise ValueError(f"explicit generator is {g.rows}x{g.cols}, "
-                             f"smaller than depth {m}")
-        w = g.submatrix(m)
-    else:
-        w = families.window_of(g, m)
-    return [[x % p for x in row] for row in w.to_rows()]
+    if not isinstance(g, exact.ExactMatrix):
+        g = families.window_of(g, m)
+    elif g.rows < m or g.cols < m:
+        raise ValueError(f"explicit generator is {g.rows}x{g.cols}, "
+                         f"smaller than depth {m}")
+    return [[x % p for x in row[:m]] for row in g.to_rows()[:m]]
 
 
 @dataclass(frozen=True)
 class PointSet:
     s: int
     points: tuple  # tuples of Fractions in [0, 1)
-
-
-def stacked_rank_ok(p: int, windows: list, composition) -> bool:
-    """Full-row-rank test over F_p of the stack of the first d_i rows of
-    each m x m window (GeneratingSet.windows): true iff its rank is sum(d_i)."""
-    composition = tuple(composition)
-    if len(composition) != len(windows) or any(d < 0 for d in composition):
-        raise ValueError("composition must have s nonnegative parts")
-    rows = [row for w, d in zip(windows, composition) for row in w[:d]]
-    basis = {}
-    for i, row in enumerate(rows):
-        exact._insert(basis, row, -i, p)
-    return len(basis) == sum(composition)
 
 
 def t_value(gs: GeneratingSet, m_max: int) -> list:

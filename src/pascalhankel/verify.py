@@ -90,11 +90,16 @@ def _a_text(a) -> str:
     return f"[{a[0]},{a[-1]}]" if a and a == tuple(range(a[0], a[-1] + 1)) else str(a)
 
 
-def _item1(report, n_max):
-    """P1^T P1 == P2."""
-    w = families.window_of(families.P1(1), n_max)
-    _compare_blocks(report, exact.mat_mul(w.transpose(), w),
-                    families.window_of(families.P2, n_max), n_max, "P1^T P1")
+def _gram(fam, sign, target, label):
+    """W^T S == the window of target, W the window of fam and S its rows
+    times sign(i): item 1 with every sign 1, Lemma 1 with (-1)^t_i."""
+    def sweep(report, n_max):
+        w = families.window_of(fam, n_max)
+        s = exact.ExactMatrix.from_rows([[sign(i) * x for x in row]
+                                         for i, row in enumerate(w.to_rows())])
+        _compare_blocks(report, exact.mat_mul(w.transpose(), s),
+                        families.window_of(target, n_max), n_max, label)
+    return sweep
 
 
 def _item2(report, a, n_max):
@@ -118,16 +123,6 @@ def _group_law(kind):
             _compare_blocks(report, exact.mat_mul(w(x), w(y)), w(x + y),
                             n_max, f"a={x}, b={y}")
     return sweep
-
-
-def _lemma1(report, n_max):
-    """M1^T diag((-1)^t_i) M1 == M2."""
-    m1 = families.window_of(families.M1(1), n_max)
-    signs = exact.ExactMatrix.diagonal(
-        [(-1) ** sequences.thue_morse(i) for i in range(n_max)])
-    lhs = exact.mat_mul(exact.mat_mul(m1.transpose(), signs), m1)
-    _compare_blocks(report, lhs, families.window_of(families.M2, n_max),
-                    n_max, "M1^T D M1")
 
 
 def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
@@ -220,7 +215,8 @@ _TRIANGULAR = "Products of upper triangular matrices commute with windowing."
 
 IDENTITIES = {
     "item1": Identity(
-        _item1, {"n_max": 32}, "n <= {n_max}".format,
+        _gram(families.P1(1), lambda i: 1, families.P2, "P1^T P1"),
+        {"n_max": 32}, "n <= {n_max}".format,
         "Gram entries sum over l <= min(i,j), so windowing is exact."),
     "item2": Identity(
         _item2, {"a": _A_DEFAULT, "n_max": 16},
@@ -233,7 +229,8 @@ IDENTITIES = {
         _group_law("M1"), {"a": _A_DEFAULT, "n_max": 64},
         lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
     "lemma1": Identity(
-        _lemma1, {"n_max": 64}, "n <= {n_max}".format,
+        _gram(families.M1(1), lambda i: (-1) ** sequences.thue_morse(i),
+              families.M2, "M1^T D M1"), {"n_max": 64}, "n <= {n_max}".format,
         "Summation index l <= min(i,j), so windowing is exact."),
     "det-p1": Identity(
         _unimodular(families.P1(1)), {"n_max": 12, "k_max": 64},

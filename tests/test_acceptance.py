@@ -54,6 +54,7 @@ def test_criterion_4_hankel_minors():
 
 def test_criterion_5_qualification():
     t0 = time.time()
+    from test_net import stacked_rank_ok
     ok = True
     for p in (2, 3, 5):
         faure = net.GeneratingSet(p, tuple(fam.P1(a) for a in range(p)))
@@ -63,7 +64,7 @@ def test_criterion_5_qualification():
                 pair = net.GeneratingSet(p, (fam.M1(a), fam.M1(b)))
                 ok = ok and net.t_value(pair, 8) == [0] * 8
     triple = net.GeneratingSet(3, (fam.M1(0), fam.M1(1), fam.M1(2)))
-    ok = ok and not net.stacked_rank_ok(3, triple.windows(3), (1, 1, 1))
+    ok = ok and not stacked_rank_ok(3, triple.windows(3), (1, 1, 1))
     remark1 = exact.ExactMatrix.from_rows([[1, 0, 0], [1, 1, 1], [1, 2, 2]])
     ok = ok and exact.rank_mod_p(remark1, 3) == 2
     report("criterion 5: (0,s)-qualification sweeps and the base-3 "

@@ -202,7 +202,7 @@ def test_net_t_value():
 
 def test_net_points_and_discrepancy(tmp_path):
     code, out = run(["net", "points", "--p", "2", "--dims", "P1:a=0",
-                     "--m", "2", "--n", "4", "--format", "csv"])
+                     "--m", "2", "--n", "4"])
     assert code == 0
     assert out.strip().splitlines() == ["0/1", "1/2", "1/4", "3/4"]
 
@@ -275,6 +275,7 @@ def test_verify_usage_error_exit_code(argv, capsys):
     "net t-value --p 4 --dims P1 --m-max 2",
     "net search --p 4 --budget 1",
     "net points --p 2 --dims P1 --m 2 --n 9",  # more points than p^m
+    "net points --p 2 --dims P1 --m 2 --n 4 --format csv",  # points take no --format
     "cf expand --series L1 --coeffs 0 --quotients 3",
     "cf expand --series L1 --coeffs 5 --quotients -1",
     "net t-value --p 3 --dims P1 --m-max 0",

@@ -112,6 +112,22 @@ def test_determinant_non_square():
         exact.determinant(ExactMatrix(1, 2, (1, 2)))
 
 
+def test_elimination_kernels_reject_non_integer_entries():
+    # Bareiss divides with //, which would floor these Fractions to det 0
+    # and a zero minor of order 2
+    rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)],
+            [Fraction(1, 7), Fraction(2, 3), Fraction(1, 4)],
+            [Fraction(3, 4), Fraction(1, 9), Fraction(5, 6)]]
+    assert cofactor_determinant(rows) == Fraction(319, 1680)
+    assert cofactor_determinant([r[:2] for r in rows[:2]]) == Fraction(2, 7)
+    # the second matrix's zero row would give det 0 before any elimination
+    for a in (ExactMatrix.from_rows(rows), ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 0]])):
+        for kernel in (exact.determinant, exact.leading_principal_minors, exact.ldu_decompose):
+            with pytest.raises(ValueError, match="integer entries required") as err:
+                kernel(a)
+            assert type(err.value) is ValueError
+
+
 def test_determinant_singular_and_pivoting():
     # a zero row: a block of 1 row and no column
     assert exact.determinant(ExactMatrix.from_rows([[0, 0], [1, 1]])) == 0
@@ -166,7 +182,7 @@ def test_leading_principal_minors_match_determinants():
             minors = exact.leading_principal_minors(a)
         except exact.SingularMinorError:
             continue
-        assert minors == [exact.determinant(a.submatrix(k)) for k in range(1, n + 1)]
+        assert minors == [exact.determinant(exact.window(a.get, k)) for k in range(1, n + 1)]
         done += 1
 
 
@@ -193,10 +209,11 @@ def test_ldu_reconstructs_and_reports_minor_ratios():
             f = exact.ldu_decompose(a)
         except exact.SingularMinorError:
             continue
-        assert exact.mat_mul(exact.mat_mul(f.L, ExactMatrix.diagonal(f.D)), f.U) == a
+        d_u = ExactMatrix.from_rows([[d * x for x in row] for d, row in zip(f.D, f.U.to_rows())])
+        assert exact.mat_mul(f.L, d_u) == a
         for k in range(n):
             assert f.L.get(k, k) == 1 and f.U.get(k, k) == 1
-        minors = [exact.determinant(a.submatrix(k)) for k in range(n + 1)]
+        minors = [exact.determinant(exact.window(a.get, k)) for k in range(n + 1)]
         assert list(f.D) == [Fraction(minors[k + 1], minors[k]) for k in range(n)]
         done += 1
 
@@ -309,8 +326,8 @@ def test_window_multiplicativity_for_triangular_families(maker):
     full_b = families.window_of(maker(-3), 64)
     product = exact.mat_mul(full_a, full_b)
     for n in [1, 2, 3, 5, 8, 13, 21, 31, 32, 33, 47, 63, 64]:
-        direct = exact.mat_mul(full_a.submatrix(n), full_b.submatrix(n))
-        assert direct == product.submatrix(n)
+        direct = exact.mat_mul(exact.window(full_a.get, n), exact.window(full_b.get, n))
+        assert direct == exact.window(product.get, n)
 
 
 def test_json_roundtrip():

@@ -39,6 +39,20 @@ def compositions(total, parts):
         yield tuple(out)
 
 
+def stacked_rank_ok(p, windows, composition):
+    """Reference: full-row-rank test over F_p of the stack of the first d_i
+    rows of each m x m window (GeneratingSet.windows): true iff its rank is
+    sum(d_i)."""
+    composition = tuple(composition)
+    if len(composition) != len(windows) or any(d < 0 for d in composition):
+        raise ValueError("composition must have s nonnegative parts")
+    rows = [row for w, d in zip(windows, composition) for row in w[:d]]
+    basis = {}
+    for i, row in enumerate(rows):
+        exact._insert(basis, row, -i, p)
+    return len(basis) == sum(composition)
+
+
 def test_compositions():
     assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(compositions(0, 3)) == [(0, 0, 0)]
@@ -47,16 +61,16 @@ def test_compositions():
 
 def test_stacked_rank_examples():
     pair = gs(2, fam.M1(0), fam.M1(1))
-    assert net.stacked_rank_ok(2, pair.windows(2), (1, 1))
+    assert stacked_rank_ok(2, pair.windows(2), (1, 1))
     # a stack of k rows passes on its rank alone, at any depth m >= k
-    assert net.stacked_rank_ok(2, pair.windows(3), (1, 1))
+    assert stacked_rank_ok(2, pair.windows(3), (1, 1))
     triple = gs(3, fam.M1(0), fam.M1(1), fam.M1(2))
-    assert not net.stacked_rank_ok(3, triple.windows(3), (1, 1, 1))
-    assert net.stacked_rank_ok(3, triple.windows(2), (0, 0, 0))
+    assert not stacked_rank_ok(3, triple.windows(3), (1, 1, 1))
+    assert stacked_rank_ok(3, triple.windows(2), (0, 0, 0))
     with pytest.raises(ValueError):
-        net.stacked_rank_ok(2, pair.windows(3), (1, 1, 1))
+        stacked_rank_ok(2, pair.windows(3), (1, 1, 1))
     with pytest.raises(ValueError):
-        net.stacked_rank_ok(2, pair.windows(3), (2, -1))
+        stacked_rank_ok(2, pair.windows(3), (2, -1))
 
 
 def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
@@ -74,7 +88,7 @@ def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
     g = gs(3, fam.M1(0), fam.M1(1), fam.M1(2))
     assert net.t_value(g, 6)[-1] >= 1
     table = g.windows(6)
-    results = [net.stacked_rank_ok(3, table, c)
+    results = [stacked_rank_ok(3, table, c)
                for k in range(7) for c in compositions(k, 3)]
     assert True in results and False in results
     assert len(tables) == 2
@@ -113,7 +127,7 @@ def t_values_by_fresh_search(g, m_max):
     for m in range(1, m_max + 1):
         windows = g.windows(m)
         out.append(next(t for t in range(m + 1)
-                        if all(net.stacked_rank_ok(g.p, windows, c)
+                        if all(stacked_rank_ok(g.p, windows, c)
                                for c in compositions(m - t, len(windows)))))
     return out
 

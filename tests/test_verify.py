@@ -63,11 +63,11 @@ def test_group_law_rejects_other_families():
 def test_lemma1():
     report = verify.run_check("lemma1", n_max=64)
     assert report.passed
-    # smallest nontrivial case by hand
+    # smallest nontrivial case by hand: D = diag(1, -1) negates row 1 of M1
     m1 = families.window_of(families.M1(1), 2)
-    d = exact.ExactMatrix.diagonal([1, -1])
-    assert exact.mat_mul(exact.mat_mul(m1.transpose(), d), m1).to_rows() == \
-        [[1, 1], [1, 0]]
+    d_m1 = exact.ExactMatrix.from_rows([[d * x for x in row]
+                                        for d, row in zip((1, -1), m1.to_rows())])
+    assert exact.mat_mul(m1.transpose(), d_m1).to_rows() == [[1, 1], [1, 0]]
 
 
 def test_det_formulas_pascal():
@@ -196,6 +196,10 @@ CORRUPTED = {
     "lemma1": ("lemma1", {"n_max": 8}, ("M2", 0, 2, 3),
                {"parameters": "M1^T D M1, n=4, entry (2,3)",
                 "expected": "1", "actual": "0"}, 8),
+    # t_1 = 1: the corrupted M1 entry (1,3), 2 for 1, enters with sign -1
+    "lemma1-signed-row": ("lemma1", {"n_max": 8}, ("M1", 1, 1, 3),
+                          {"parameters": "M1^T D M1, n=4, entry (1,3)",
+                           "expected": "0", "actual": "-1"}, 8),
 }
 
 
