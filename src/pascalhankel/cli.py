@@ -140,6 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_matrix(args, out) -> int:
+    if args.action in ("det", "ldu") and args.m not in (None, args.n):
+        raise argparse.ArgumentTypeError(f"square matrix required, got {args.n}x{args.m}")
     w = families.window_of(args.family, args.n, args.m, args.k)
     if args.action == "show":
         if args.format == "json":
@@ -215,6 +217,9 @@ def _cmd_net(args, out) -> int:
             print("t: " + " ".join(str(t) for t in ts), file=out)
             print(f"overall t = {max(ts)}", file=out)
     elif args.action == "points":
+        if args.n > args.p ** args.m:
+            raise argparse.ArgumentTypeError(
+                f"cannot place {args.n} points at depth {args.m} in base {args.p}")
         ps = net.digital_points(net.GeneratingSet(args.p, args.dims[1]), args.n, args.m)
         for pt in ps.points:
             print(",".join(f"{x.numerator}/{x.denominator}" for x in pt), file=out)
@@ -242,13 +247,8 @@ def run(argv, out=None) -> int:
     out = sys.stdout if out is None else out
     # an exact integer the lab computed prints at any length (3.10 may lack the limit)
     getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.verb == "net" and args.action == "points" and args.n > args.p ** args.m:
-            parser.error(f"cannot place {args.n} points at depth {args.m} in base {args.p}")
-        if args.verb == "matrix" and args.action in ("det", "ldu") and args.m not in (None, args.n):
-            parser.error(f"square matrix required, got {args.n}x{args.m}")
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

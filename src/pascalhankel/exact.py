@@ -8,6 +8,7 @@ anywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,8 +50,7 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, tuple(1 if i == j else 0
-                                       for i in range(n) for j in range(n)))
+        return window(lambda i, j: int(i == j), n)
 
     def get(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -62,11 +62,7 @@ class ExactMatrix:
                 for i in range(self.rows)]
 
     def transpose(self) -> "ExactMatrix":
-        e = self.entries
-        m = self.cols
-        return ExactMatrix(m, self.rows,
-                           tuple(e[i * m + j] for j in range(m)
-                                 for i in range(self.rows)))
+        return window(lambda i, j: self.get(j, i), self.cols, self.rows)
 
 
 def window(gen, n: int, m: int | None = None, k: int = 0) -> ExactMatrix:
@@ -115,12 +111,17 @@ def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
     return result
 
 
-def _square_of_ints(a: ExactMatrix) -> None:
-    """The elimination kernels' input check: // would floor a Fraction."""
-    if a.rows != a.cols:
-        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
+def _ints(a: ExactMatrix) -> None:
+    """The elimination kernels' entry check: // would floor a Fraction,
+    and a Fraction has no inverse mod p."""
     if not all(isinstance(x, int) for x in a.entries):
         raise ValueError("integer entries required")
+
+
+def _square_of_ints(a: ExactMatrix) -> None:
+    if a.rows != a.cols:
+        raise ValueError(f"square matrix required, got {a.rows}x{a.cols}")
+    _ints(a)
 
 
 def _bareiss(a: ExactMatrix, pivot: bool):
@@ -237,33 +238,21 @@ def ldu_decompose(a: ExactMatrix) -> LDUFactors:
         return p // q if p % q == 0 else Fraction(p, q)
 
     return LDUFactors(
-        ExactMatrix.from_rows([[ratio(m[i][j], minors[j + 1]) if j < i else int(i == j)
-                                for j in range(n)] for i in range(n)]),
+        window(lambda i, j: ratio(m[i][j], minors[j + 1]) if j < i else int(i == j), n),
         tuple(ratio(minors[k + 1], minors[k]) for k in range(n)),
-        ExactMatrix.from_rows([[ratio(m[i][j], minors[i + 1]) if j > i else int(i == j)
-                                for j in range(n)] for i in range(n)]),
+        window(lambda i, j: ratio(m[i][j], minors[i + 1]) if j > i else int(i == j), n),
     )
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 def rank_mod_p(a: ExactMatrix, p: int) -> int:
     """Rank of A reduced entrywise mod p, by Gaussian elimination over F_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    _ints(a)
     basis = {}
     for i, row in enumerate(a.to_rows()):
         _insert(basis, [x % p for x in row], -i, p)

@@ -48,8 +48,6 @@ class Poly:
         return Poly.make(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(())
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x:

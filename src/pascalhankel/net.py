@@ -59,11 +59,7 @@ class PointSet:
 def t_value(gs: GeneratingSet, m_max: int) -> list:
     """Minimal t = m - k per depth m = 1..m_max, k the largest strength whose
     compositions all pass, from the windows built once at m_max."""
-    # an explicit generator too small for m_max fails at the first depth it
-    # cannot reach, as a depth-by-depth search would
-    reach = min((min(g.rows, g.cols) for g in gs.generators
-                 if isinstance(g, exact.ExactMatrix)), default=m_max)
-    return _t_values(gs.p, gs.windows(min(m_max, reach + 1)), m_max)
+    return _t_values(gs.p, gs.windows(m_max), m_max)
 
 
 def _t_values(p: int, windows: list, m_max: int) -> list:

@@ -6,12 +6,16 @@ import hashlib
 import io
 import json
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from pascalhankel import cli
+from pascalhankel import cli, verify
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -344,3 +348,19 @@ def test_internal_error_exit_code(monkeypatch, capsys):
         code, _ = run(["seq", "catalan", "--count", "2"])
         assert code == 3
     assert "TypeError: boom" in capsys.readouterr().err
+
+
+def test_readme_matches_the_cli():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].split(">")[0].split() for line in block.splitlines()]
+    examples = [words for words in lines if words]
+    assert examples and all(words[0] == "pascalhankel" for words in examples)
+    parser = cli._build_parser()
+    for words in examples:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(words)}")
+    # the identity table has one row per registry key, in registry order
+    assert re.findall(r"^\| `([^`]+)` \|", text, re.M) == list(verify.IDENTITIES)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -120,9 +121,13 @@ def test_elimination_kernels_reject_non_integer_entries():
             [Fraction(3, 4), Fraction(1, 9), Fraction(5, 6)]]
     assert cofactor_determinant(rows) == Fraction(319, 1680)
     assert cofactor_determinant([r[:2] for r in rows[:2]]) == Fraction(2, 7)
-    # the second matrix's zero row would give det 0 before any elimination
-    for a in (ExactMatrix.from_rows(rows), ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 0]])):
-        for kernel in (exact.determinant, exact.leading_principal_minors, exact.ldu_decompose):
+    # the second matrix's zero row would give det 0 before any elimination;
+    # over F_3 a Fraction has no inverse to eliminate with
+    for a in (ExactMatrix.from_rows(rows), ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 0]]),
+              ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+                                     [Fraction(1, 4), Fraction(1, 5)]])):
+        for kernel in (exact.determinant, exact.leading_principal_minors, exact.ldu_decompose,
+                       lambda m: exact.rank_mod_p(m, 3)):
             with pytest.raises(ValueError, match="integer entries required") as err:
                 kernel(a)
             assert type(err.value) is ValueError
@@ -253,6 +258,15 @@ def test_rank_mod_p_examples():
     # all entries even, so everything vanishes mod 2
     assert exact.rank_mod_p(ExactMatrix.from_rows([[2, 4], [2, 6]]), 2) == 0
     assert exact.rank_mod_p(ExactMatrix.from_rows([[2, 4], [1, 2]]), 2) == 1
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10000
+    sieve = [False, False] + [True] * (limit - 1)  # sieve[p] for p = 0..limit
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(sieve[f * f::f])
+    assert [exact.is_prime(p) for p in range(-5, limit + 1)] == [False] * 5 + sieve
 
 
 def test_rank_mod_p_requires_prime():

@@ -113,8 +113,8 @@ def test_t_value_explicit_matrix_generator():
     c = exact.ExactMatrix.identity(6)
     assert net.t_value(net.GeneratingSet(2, (c,)), 6) == [0] * 6
     short = net.GeneratingSet(2, (exact.ExactMatrix.identity(4),))
-    # t_value stops at the first depth the generator cannot reach
-    with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 5"):
+    # both build their windows at the full depth
+    with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
         net.t_value(short, 6)
     with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
         net.digital_points(short, 3, 6)

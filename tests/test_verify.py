@@ -147,6 +147,48 @@ def test_ldu_of_m2_diagonal_is_thue_morse_signs():
         [(-1) ** sequences.thue_morse(i) for i in range(32)]
 
 
+def kronecker_power(rows, r):
+    """The r-fold Kronecker power of a 2x2 matrix, a 2^r x 2^r ExactMatrix."""
+    base = exact.ExactMatrix.from_rows(rows)
+    out = exact.ExactMatrix.identity(1)
+    for _ in range(r):
+        prev = out
+        out = exact.window(lambda i, j: prev.get(i // 2, j // 2) * base.get(i % 2, j % 2),
+                           2 * prev.rows)
+    return out
+
+
+def test_m_side_windows_are_kronecker_powers():
+    """An oracle for the M side that multiplies no windows: the
+    2^r x 2^r windows are r-fold Kronecker powers of 2x2 matrices, so by
+    the mixed-product rule group-law-m1, lemma1 and det-m2 at n = 2^r
+    follow from the 2x2 identities at the end."""
+    for r in range(7):
+        n = 2 ** r
+        for a in range(-3, 4):
+            assert families.window_of(families.M1(a), n) == kronecker_power([[1, a], [0, 1]], r)
+        # Lucas's theorem: C(i + j, i) is odd iff i and j share no binary digit
+        m2 = families.window_of(families.M2, n)
+        assert m2 == kronecker_power([[1, 1], [1, 0]], r)
+        signs = kronecker_power([[1, 0], [0, -1]], r)
+        assert signs == exact.window(
+            lambda i, j: (-1) ** sequences.thue_morse(i) if i == j else 0, n)
+        # det-m2: the LDU factors are the powers of the 2x2 factors, the L
+        # and U being the windows of M1(1)^T and M1(1) from lemma1
+        factors = exact.ldu_decompose(m2)
+        assert factors.L == kronecker_power([[1, 0], [1, 1]], r)
+        assert factors.L == families.window_of(families.M1(1), n).transpose()
+        assert list(factors.D) == [signs.get(i, i) for i in range(n)]
+        assert factors.U == kronecker_power([[1, 1], [0, 1]], r)
+    two = exact.ExactMatrix.from_rows
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            assert exact.mat_mul(two([[1, a], [0, 1]]), two([[1, b], [0, 1]])) \
+                == two([[1, a + b], [0, 1]])
+    lower_d = exact.mat_mul(two([[1, 0], [1, 1]]), two([[1, 0], [0, -1]]))
+    assert exact.mat_mul(lower_d, two([[1, 1], [0, 1]])) == two([[1, 1], [1, 0]])
+
+
 def test_report_structure():
     report = verify.run_check("item1", n_max=4)
     d = report.to_dict()
