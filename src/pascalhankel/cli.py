@@ -50,7 +50,8 @@ def _int_type(ok, wanted: str):
 
 _nonnegative = _int_type(lambda value: value >= 0, "an integer >= 0")
 _positive = _int_type(lambda value: value >= 1, "an integer >= 1")
-_prime = _int_type(exact.is_prime, "a prime")
+# bounded, as is_prime trial-divides: below 2^32 it takes a few milliseconds
+_prime = _int_type(lambda p: p < 2 ** 32 and exact.is_prime(p), "a prime below 2^32")
 
 
 def _point_set(lines) -> net.PointSet:
@@ -88,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ms.add_argument("--family", type=_family, required=True,
                         help="P1[:a=A], M1[:a=A], P2, M2, H1, H2")
         ms.add_argument("--n", type=_nonnegative, required=True)
-        ms.add_argument("--m", type=_nonnegative, default=None)
+        if name in ("show", "rank"):
+            ms.add_argument("--m", type=_nonnegative, default=None)
         ms.add_argument("--k", type=_nonnegative, default=0)
         if name == "show":
             ms.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -140,9 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_matrix(args, out) -> int:
-    if args.action in ("det", "ldu") and args.m not in (None, args.n):
-        raise argparse.ArgumentTypeError(f"square matrix required, got {args.n}x{args.m}")
-    w = families.window_of(args.family, args.n, args.m, args.k)
+    w = families.window_of(args.family, args.n, getattr(args, "m", None), args.k)
     if args.action == "show":
         if args.format == "json":
             print(exact.to_json(w), file=out)

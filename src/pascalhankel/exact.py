@@ -124,10 +124,10 @@ def _square_of_ints(a: ExactMatrix) -> None:
     _ints(a)
 
 
-def _bareiss(a: ExactMatrix, pivot: bool):
-    """Single-step Bareiss fraction-free elimination of a square int matrix.
+def _bareiss(m: list, pivot: bool):
+    """Single-step Bareiss fraction-free elimination of square int rows m.
 
-    Returns the eliminated rows m and the sign of the row permutation.
+    Returns m, eliminated in place, and the sign of the row permutation.
     With pivot a zero pivot is swapped with the first lower row that is
     nonzero in its column; SingularMinorError(k+1) is raised at a zero
     pivot that may not (pivot false) or cannot be swapped past.
@@ -140,8 +140,7 @@ def _bareiss(a: ExactMatrix, pivot: bool):
     A = L diag(D) U with L[i][k] = m[i][k]/m[k][k], U[k][j] = m[k][j]/m[k][k]
     and D[k] = m[k][k]/m[k-1][k-1].
     """
-    n = a.rows
-    m = a.to_rows()
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n):
@@ -195,9 +194,8 @@ def determinant(a: ExactMatrix):
         return 0
     value = 1
     for rows, cols in blocks:
-        block = ExactMatrix(len(rows), len(cols), tuple(e[i * n + j] for i in rows for j in cols))
         try:
-            m, sign = _bareiss(block, pivot=True)
+            m, sign = _bareiss([[e[i * n + j] for j in cols] for i in rows], pivot=True)
         except SingularMinorError:
             return 0
         value *= sign * m[-1][-1]
@@ -212,7 +210,7 @@ def leading_principal_minors(a: ExactMatrix) -> list:
     raises SingularMinorError otherwise.
     """
     _square_of_ints(a)
-    m, _ = _bareiss(a, pivot=False)
+    m, _ = _bareiss(a.to_rows(), pivot=False)
     return [m[k][k] for k in range(len(m))]
 
 
@@ -230,7 +228,7 @@ def ldu_decompose(a: ExactMatrix) -> LDUFactors:
     first vanishing leading principal minor.
     """
     _square_of_ints(a)
-    m, _ = _bareiss(a, pivot=False)
+    m, _ = _bareiss(a.to_rows(), pivot=False)
     n = len(m)
     minors = [1] + [m[k][k] for k in range(n)]
 

@@ -140,25 +140,22 @@ def build_L(which: str, num_coeffs: int) -> LaurentSeries:
 def cf_expand(s: LaurentSeries, max_quotients: int) -> CFExpansion:
     """Simple continued fraction of a Laurent series.
 
-    The polynomial part of the series is the integer part.  The
-    fractional part, known through X^(-N), is R/X^N, and the partial
-    quotients are those of the Euclidean algorithm on (X^N, R).  After k
-    steps the divisor has degree N - (deg A_1 + ... + deg A_k), so A_k is
-    certified while 2 (deg A_1 + ... + deg A_k) <= N, i.e. while twice the
-    divisor's degree is at least N.  The first quotient that fails this,
-    or a zero remainder (which cannot be told from an unknown tail), stops
-    the expansion with exhausted_precision set instead of guessing.
+    The series is known through X^(-N), so X^N times it is a polynomial P;
+    the Euclidean algorithm on (P, X^N) gives the integer part as its first
+    quotient and then the partial quotients A_1, A_2, ....  The divisor that
+    yields A_k has degree N - (deg A_1 + ... + deg A_k), so A_k is certified
+    while 2 (deg A_1 + ... + deg A_k) <= N, i.e. while twice that degree is
+    at least N.  The first quotient that fails this, or a zero remainder
+    (which cannot be told from an unknown tail), stops the expansion with
+    exhausted_precision set instead of guessing.
     """
-    top = s.start_exponent
+    n = s.precision - 1 - s.start_exponent
     if not any(s.coeffs):
         raise ValueError("cannot expand the zero series")
-    if s.precision <= top:
+    if n < 0:
         raise ValueError("insufficient precision for the integer part")
-    split = max(top + 1, 0)
-    integer_part = Poly.make(reversed(s.coeffs[:split]))
-    fraction = [0] * max(-1 - top, 0) + list(s.coeffs[split:])
-    n = len(fraction)
-    a, b = Poly.make([0] * n + [1]), Poly.make(reversed(fraction))
+    a = Poly.make([0] * n + [1])
+    integer_part, b = divmod(Poly.make(reversed(s.coeffs)), a)
     quotients = []
     while len(quotients) < max_quotients:
         if 2 * b.degree < n:  # also b = 0, of degree -1

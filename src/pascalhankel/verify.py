@@ -90,16 +90,14 @@ def _a_text(a) -> str:
     return f"[{a[0]},{a[-1]}]" if a and a == tuple(range(a[0], a[-1] + 1)) else str(a)
 
 
-def _gram(fam, sign, target, label):
+def _gram(fam, sign, target, label, report, n_max):
     """W^T S == the window of target, W the window of fam and S its rows
     times sign(i): item 1 with every sign 1, Lemma 1 with (-1)^t_i."""
-    def sweep(report, n_max):
-        w = families.window_of(fam, n_max)
-        s = exact.ExactMatrix.from_rows([[sign(i) * x for x in row]
-                                         for i, row in enumerate(w.to_rows())])
-        _compare_blocks(report, exact.mat_mul(w.transpose(), s),
-                        families.window_of(target, n_max), n_max, label)
-    return sweep
+    w = families.window_of(fam, n_max)
+    s = exact.ExactMatrix.from_rows([[sign(i) * x for x in row]
+                                     for i, row in enumerate(w.to_rows())])
+    _compare_blocks(report, exact.mat_mul(w.transpose(), s),
+                    families.window_of(target, n_max), n_max, label)
 
 
 def _item2(report, a, n_max):
@@ -114,15 +112,12 @@ def _item2(report, a, n_max):
                         w(max(x, 0)), n_max, f"a={x}")
 
 
-def _group_law(kind):
+def _group_law(kind, report, a, n_max):
     """F(a) F(b) == F(a+b) for every pair of a x a, F the family kind."""
-    def sweep(report, a, n_max):
-        w = functools.cache(
-            lambda c: families.window_of(families.Family(kind, c), n_max))
-        for x, y in itertools.product(a, a):
-            _compare_blocks(report, exact.mat_mul(w(x), w(y)), w(x + y),
-                            n_max, f"a={x}, b={y}")
-    return sweep
+    w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
+    for x, y in itertools.product(a, a):
+        _compare_blocks(report, exact.mat_mul(w(x), w(y)), w(x + y),
+                        n_max, f"a={x}, b={y}")
 
 
 def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
@@ -146,12 +141,10 @@ def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
     return [1 if d > 0 else -1 for d in minors]
 
 
-def _unimodular(fam):
+def _unimodular(fam, report, n_max, k_max):
     """det of every shifted window of fam is 1."""
-    def sweep(report, n_max, k_max):
-        for k in range(k_max + 1):
-            _minor_sweep(report, fam, n_max, k, lambda n: 1, f"k={k}")
-    return sweep
+    for k in range(k_max + 1):
+        _minor_sweep(report, fam, n_max, k, lambda n: 1, f"k={k}")
 
 
 def _det_m1a(report, a, n_max, k_max):
@@ -171,23 +164,21 @@ def _det_m1a(report, a, n_max, k_max):
     report.data["signs"] = signs
 
 
-def _leading_minors(fam, expected_fn, key=lambda d: d):
+def _leading_minors(fam, expected_fn, report, n_max, key=lambda d: d):
     """key(minor of order n) == expected_fn(n) for the leading minors of
     fam; their signs are kept as data."""
-    def sweep(report, n_max):
-        signs = _minor_sweep(report, fam, n_max, 0, expected_fn,
-                             families.family_name(fam), key)
-        if signs is not None:
-            report.data["signs"] = signs
-    return sweep
+    signs = _minor_sweep(report, fam, n_max, 0, expected_fn,
+                         families.family_name(fam), key)
+    if signs is not None:
+        report.data["signs"] = signs
 
 
-def _hankel_h2(report, n_max, anti_k_max):
+def _hankel_h2(report, n_max):
     """The H2 minors, plus the anti-triangular structure of its 2^k - 1
-    windows: ones on the anti-diagonal, zeros below it."""
-    _leading_minors(families.H2, lambda n: 1, abs)(report, n_max)
+    windows, k <= _ANTI_K_MAX: ones on the anti-diagonal, zeros below it."""
+    _leading_minors(families.H2, lambda n: 1, report, n_max, abs)
     gen = families.entry_fn(families.H2)
-    for k in range(1, anti_k_max + 1):
+    for k in range(1, _ANTI_K_MAX + 1):
         n = 2 ** k - 1
         report.checked += 1
         bad = next(((i, j) for i in range(n) for j in range(n - 1 - i, n)
@@ -211,11 +202,12 @@ class Identity:
 
 
 _A_DEFAULT = tuple(range(-5, 6))
+_ANTI_K_MAX = 6
 _TRIANGULAR = "Products of upper triangular matrices commute with windowing."
 
 IDENTITIES = {
     "item1": Identity(
-        _gram(families.P1(1), lambda i: 1, families.P2, "P1^T P1"),
+        functools.partial(_gram, families.P1(1), lambda i: 1, families.P2, "P1^T P1"),
         {"n_max": 32}, "n <= {n_max}".format,
         "Gram entries sum over l <= min(i,j), so windowing is exact."),
     "item2": Identity(
@@ -223,35 +215,39 @@ IDENTITIES = {
         lambda a, n_max: f"a in {_a_text(a)} \\ {{0}}, n <= {n_max}",
         "Powers of upper triangular matrices commute with windowing."),
     "group-law-p1": Identity(
-        _group_law("P1"), {"a": _A_DEFAULT, "n_max": 64},
+        functools.partial(_group_law, "P1"), {"a": _A_DEFAULT, "n_max": 64},
         lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
     "group-law-m1": Identity(
-        _group_law("M1"), {"a": _A_DEFAULT, "n_max": 64},
+        functools.partial(_group_law, "M1"), {"a": _A_DEFAULT, "n_max": 64},
         lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
     "lemma1": Identity(
-        _gram(families.M1(1), lambda i: (-1) ** sequences.thue_morse(i),
-              families.M2, "M1^T D M1"), {"n_max": 64}, "n <= {n_max}".format,
+        functools.partial(_gram, families.M1(1), lambda i: (-1) ** sequences.thue_morse(i),
+                          families.M2, "M1^T D M1"), {"n_max": 64}, "n <= {n_max}".format,
         "Summation index l <= min(i,j), so windowing is exact."),
     "det-p1": Identity(
-        _unimodular(families.P1(1)), {"n_max": 12, "k_max": 64},
+        functools.partial(_unimodular, families.P1(1)), {"n_max": 12, "k_max": 64},
         "n <= {n_max}, k <= {k_max}".format),
     "det-p2": Identity(
-        _unimodular(families.P2), {"n_max": 12, "k_max": 64},
+        functools.partial(_unimodular, families.P2), {"n_max": 12, "k_max": 64},
         "n <= {n_max}, k <= {k_max}".format),
     # M2's minor of order n is the product of (-1)^s2(i) over i < n
     "det-m2": Identity(
-        _leading_minors(families.M2, lambda n: (-1) ** sum(map(sequences.s2, range(n)))),
+        functools.partial(_leading_minors, families.M2,
+                          lambda n: (-1) ** sum(map(sequences.s2, range(n)))),
         {"n_max": 64}, "n <= {n_max}".format),
     "det-m1a": Identity(
         _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
         lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {_nonzero(a)}",
         "Sign is recorded as data; only |det| is predicted."),
+    # H1's minor of order n is (-1)^floor(n/2): even indices first, in rows and columns
+    # alike (the permutation's sign cancels), split its window into D (C_{a+b}) D and
+    # -D (C_{a+b+1}) D, D = diag((-1)^a), and both Catalan Hankel matrices have det 1
     "hankel-h1": Identity(
-        _leading_minors(families.H1, lambda n: 1, abs), {"n_max": 40},
-        "n <= {n_max}".format),
+        functools.partial(_leading_minors, families.H1, lambda n: (-1) ** (n // 2)),
+        {"n_max": 40}, "n <= {n_max}".format),
     "hankel-h2": Identity(
-        _hankel_h2, {"n_max": 40, "anti_k_max": 6},
-        "n <= {n_max}, anti-triangular k <= {anti_k_max}".format),
+        _hankel_h2, {"n_max": 40},
+        lambda n_max: f"n <= {n_max}, anti-triangular k <= {_ANTI_K_MAX}"),
 }
 
 class GridError(ValueError):

@@ -276,6 +276,7 @@ def test_verify_usage_error_exit_code(argv, capsys):
     "matrix det --family M2 --n -1",        # negative sizes
     "matrix show --family M2 --n 2 --k -1",
     "matrix rank --family M2 --n 3 --p 4",  # non-prime bases
+    "matrix rank --family M2 --n 2 --p 1000000000000000003",  # a prime, but not below 2^32
     "net t-value --p 4 --dims P1 --m-max 2",
     "net search --p 4 --budget 1",
     "net points --p 2 --dims P1 --m 2 --n 9",  # more points than p^m
@@ -288,7 +289,8 @@ def test_verify_usage_error_exit_code(argv, capsys):
     "net search --budget -1",
     "net search --budget 0",
     "matrix det --family M2 --n x",
-    "matrix det --family P2 --n 2 --m 3",   # det and LDU need a square window
+    "matrix det --family P2 --n 2 --m 3",   # det and LDU take no --m
+    "matrix det --family P2 --n 3 --m 3",
     "matrix ldu --family P2 --n 2 --m 3",
     "matrix ldu --family H1 --n 3 --k 1",   # a zero leading minor: no LDU exists
 ])
@@ -364,3 +366,24 @@ def test_readme_matches_the_cli():
             pytest.fail(f"README example does not parse: {' '.join(words)}")
     # the identity table has one row per registry key, in registry order
     assert re.findall(r"^\| `([^`]+)` \|", text, re.M) == list(verify.IDENTITIES)
+    # and each row names its identity's grid, defaults and flags exactly;
+    # every grid key has a flag, so no option is reachable from Python only
+    flags = {"n_max": "--n-max", "k_max": "--k-max", "a": "--a-range"}
+    rows = re.findall(r"^\| `([^`]+)` \|.*?(?<!\\)\| (.*?) \| (.*?) \|$", text, re.M)
+    assert [row[0] for row in rows] == list(verify.IDENTITIES)
+    for identity_id, grid_cell, flag_cell in rows:
+        grid = verify.IDENTITIES[identity_id].grid
+        assert set(grid) <= set(flags), identity_id
+        shown = dict(re.findall(r"`(\w+)=([^`]*)`", grid_cell))
+        assert shown == {key: _grid_text(value) for key, value in grid.items()}, identity_id
+        assert (re.findall(r"`(--[\w-]+)`", flag_cell)
+                == [flags[key] for key in grid]), identity_id
+
+
+def _grid_text(value) -> str:
+    """A default grid value as the README's identity table writes it."""
+    if isinstance(value, int):
+        return str(value)
+    if value == tuple(range(value[0], value[-1] + 1)):
+        return f"{value[0]}..{value[-1]}"
+    return f"({','.join(map(str, value))})"

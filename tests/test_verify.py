@@ -107,7 +107,7 @@ def test_det_formulas_unknown():
 
 def test_hankel_minors():
     r1 = verify.run_check("hankel-h1", n_max=24)
-    r2 = verify.run_check("hankel-h2", n_max=24, anti_k_max=5)
+    r2 = verify.run_check("hankel-h2", n_max=24)
     assert r1.passed and r2.passed
     assert exact.determinant(families.window_of(families.H1, 2)) == -1
     assert abs(exact.determinant(families.window_of(families.H2, 3))) == 1
@@ -277,13 +277,19 @@ CORRUPTED_MINORS = {
                              6, {}),
     # the minors pass; the 7 x 7 anti-triangular window does not
     "hankel-h2-anti-triangular": (
-        "hankel-h2", {"n_max": 4, "anti_k_max": 3}, ("H2", 0, 4, 2, 1),
+        "hankel-h2", {"n_max": 4}, ("H2", 0, 4, 2, 1),
         [_failure("anti-triangular n=7, entry (4,2)", 1, 2)],
-        7, {"signs": [1, 1, -1, -1]}),
+        10, {"signs": [1, 1, -1, -1]}),
     # the minors 3, -3, -5 are recorded as their signs
     "hankel-h1-signs": ("hankel-h1", {"n_max": 3}, ("H1", 0, 0, 0, 2),
-                        [_failure(f"H1, n={n}", 1, got) for n, got in ((1, 3), (2, 3), (3, 5))],
+                        [_failure(f"H1, n={n}", want, got)
+                         for n, want, got in ((1, 1, 3), (2, -1, -3), (3, -1, -5))],
                         3, {"signs": [1, -1, -1]}),
+    # entry (1,1) turns from -1 to 1: minors 1, 1, 1, of the right size but
+    # not the signs 1, -1, -1 that H1's minors carry
+    "hankel-h1-signed-minor": ("hankel-h1", {"n_max": 3}, ("H1", 0, 1, 1, 2),
+                               [_failure(f"H1, n={n}", -1, 1) for n in (2, 3)],
+                               3, {"signs": [1, 1, 1]}),
 }
 
 
