@@ -1,4 +1,4 @@
-"""Exact dense matrix kernel over the integers and rationals.
+"""Exact matrix kernel over the integers and rationals.
 
 Windows of infinite matrices, products, nonnegative powers, fraction-free
 determinants, LDU factorisation, and rank over F_p.  No floating point
@@ -78,21 +78,19 @@ def window(gen, n: int, m: int | None = None, k: int = 0) -> ExactMatrix:
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    brows = b.to_rows()
-    out = []
+    # each row of b as its nonzero (column, entry) pairs, so the work is
+    # one multiply-add per nonzero triple a[i][l] * b[l][j]
     w = b.cols
+    bnz = [[(j, v) for j, v in enumerate(row) if v] for row in b.to_rows()]
+    out = []
     for i in range(a.rows):
-        arow = a.entries[i * a.cols:(i + 1) * a.cols]
         acc = [0] * w
-        for l, x in enumerate(arow):
+        for x, br in zip(a.entries[i * a.cols:(i + 1) * a.cols], bnz):
             if x:
-                br = brows[l]
-                if x == 1:
-                    acc = [u + v for u, v in zip(acc, br)]
-                else:
-                    acc = [u + x * v for u, v in zip(acc, br)]
+                for j, v in br:
+                    acc[j] += x * v
         out.extend(acc)
-    return ExactMatrix(a.rows, b.cols, tuple(out))
+    return ExactMatrix(a.rows, w, tuple(out))
 
 
 def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:

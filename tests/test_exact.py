@@ -88,6 +88,38 @@ def test_mat_mul_dimension_mismatch():
         exact.mat_mul(ExactMatrix.identity(2), ExactMatrix.identity(3))
 
 
+class CountingInt(int):
+    """An int that counts the multiplications it takes part in."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        CountingInt.calls += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def nonzero_triples(a, b):
+    return sum(1 for i in range(a.rows) for l in range(a.cols) for j in range(b.cols)
+               if a.get(i, l) and b.get(l, j))
+
+
+@pytest.mark.parametrize("family, sizes, count", [
+    (families.M1(1), [2 ** r for r in range(6)], lambda n: n * n),  # 4^r at n = 2^r
+    (families.P1(1), [0, 1, 2, 3, 7, 20, 33], lambda n: math.comb(n + 2, 3)),
+])
+def test_mat_mul_multiplies_once_per_nonzero_triple(family, sizes, count):
+    # every nonzero a counting 2, so no entry is 1 and a shortcut for
+    # x == 1 would not change the count
+    for n in sizes:
+        pattern = families.window_of(family, n)
+        a = ExactMatrix(n, n, tuple(CountingInt(2) if x else 0 for x in pattern.entries))
+        CountingInt.calls = 0
+        exact.mat_mul(a, a)
+        assert CountingInt.calls == nonzero_triples(a, a) == count(n)
+
+
 def test_mat_pow_examples():
     u = ExactMatrix.from_rows([[1, 1], [0, 1]])
     assert exact.mat_pow(u, 3).to_rows() == [[1, 3], [0, 1]]

@@ -1,7 +1,9 @@
 """Property tests of the Bareiss kernel and the block split against the
-cofactor oracle."""
+cofactor oracle, and of the zero-skipping product against a triple sum."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,3 +71,37 @@ def shuffled_block_diagonal(draw):
 @given(shuffled_block_diagonal())
 def test_determinant_matches_cofactor_on_shuffled_blocks(rows):
     assert exact.determinant(ExactMatrix.from_rows(rows)) == cofactor_determinant(rows)
+
+
+@st.composite
+def sparse_factor(draw, rows, cols):
+    """A rows x cols matrix of ints and Fractions at a drawn density from
+    none to all nonzero, with some whole rows and columns then zeroed."""
+    density = draw(st.integers(0, 4))
+    value = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    entries = []
+    for i in range(rows):
+        for j in range(cols):
+            x = draw(value) if draw(st.integers(0, 3)) < density else 0
+            entries.append(0 if i in zero_rows or j in zero_cols else x)
+    return ExactMatrix(rows, cols, tuple(entries))
+
+
+@st.composite
+def product_pairs(draw):
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(sparse_factor(r, k)), draw(sparse_factor(k, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_pairs())
+def test_mat_mul_matches_triple_sum(pair):
+    a, b = pair
+    want = tuple(sum(a.get(i, l) * b.get(l, j) for l in range(a.cols))
+                 for i in range(a.rows) for j in range(b.cols))
+    product = exact.mat_mul(a, b)
+    assert (product.rows, product.cols, product.entries) == (a.rows, b.cols, want)
+    if not any(isinstance(x, Fraction) for x in a.entries + b.entries):
+        assert all(type(x) is int for x in product.entries)
