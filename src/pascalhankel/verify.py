@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -120,63 +121,56 @@ def _group_law(kind, report, a, n_max):
                         n_max, f"a={x}, b={y}")
 
 
-def _minor_sweep(report, fam, n_max, k, expected_fn, label, key=lambda d: d):
-    """Check det of shifted windows for all n via one fraction-free pass.
-
-    key(det) is compared with expected_fn(n); abs for sweeps that only
-    predict |det|.  Returns the signs of the minors, or None at a zero one.
-    """
-    try:
-        minors = exact.leading_principal_minors(
-            families.window_of(fam, n_max, n_max, k))
-    except exact.SingularMinorError as err:
-        report.fail(f"{label}", "nonzero minor", f"zero minor of order {err.order}")
+def _minors(windows, report, n_max, key=lambda d: d):
+    """key(minor of order n) == expected(n), n <= n_max, for each shifted window
+    (label, family, k, expected) by one fraction-free pass; a zero minor fails
+    the window with its order.  Returns the signs by label, zero-free windows only."""
+    signs = {}
+    for label, fam, k, expected in windows:
         report.checked += n_max
-        return None
-    for n, det in enumerate(minors, start=1):
-        report.checked += 1
-        want, got = expected_fn(n), key(det)
-        if got != want:
-            report.fail(f"{label}, n={n}", want, got)
-    return [1 if d > 0 else -1 for d in minors]
+        try:
+            minors = exact.leading_principal_minors(
+                families.window_of(fam, n_max, n_max, k))
+        except exact.SingularMinorError as err:
+            report.fail(label, "nonzero minor", f"zero minor of order {err.order}")
+            continue
+        for n, det in enumerate(minors, start=1):
+            want, got = expected(n), key(det)
+            if got != want:
+                report.fail(f"{label}, n={n}", want, got)
+        signs[label] = [1 if d > 0 else -1 for d in minors]
+    return signs
 
 
 def _unimodular(fam, report, n_max, k_max):
     """det of every shifted window of fam is 1."""
-    for k in range(k_max + 1):
-        _minor_sweep(report, fam, n_max, k, lambda n: 1, f"k={k}")
+    _minors([(f"k={k}", fam, k, lambda n: 1) for k in range(k_max + 1)], report, n_max)
 
 
 def _det_m1a(report, a, n_max, k_max):
     """|det| of shifted windows of M1(a) matches the |a|^(s2(i+k)-s2(i))
     product for nonzero a; the observed signs are recorded as data."""
-    signs = {}
-    for x in _nonzero(a):
-        for k in range(k_max + 1):
-            def expected(n, x=x, k=k):
-                e = sum(sequences.s2(i + k) - sequences.s2(i) for i in range(n))
-                return abs(x) ** e
+    def expected(x, k):
+        return lambda n: abs(x) ** sum(sequences.s2(i + k) - sequences.s2(i) for i in range(n))
 
-            got = _minor_sweep(report, families.M1(x), n_max, k,
-                               expected, f"a={x}, k={k}", abs)
-            if got is not None:
-                signs[f"a={x},k={k}"] = got
-    report.data["signs"] = signs
+    signs = _minors([(f"a={x}, k={k}", families.M1(x), k, expected(x, k))
+                     for x in _nonzero(a) for k in range(k_max + 1)], report, n_max, abs)
+    report.data["signs"] = {label.replace(" ", ""): s for label, s in signs.items()}
 
 
-def _leading_minors(fam, expected_fn, report, n_max, key=lambda d: d):
-    """key(minor of order n) == expected_fn(n) for the leading minors of
-    fam; their signs are kept as data."""
-    signs = _minor_sweep(report, fam, n_max, 0, expected_fn,
-                         families.family_name(fam), key)
-    if signs is not None:
-        report.data["signs"] = signs
+def _leading_minors(fam, expected, report, n_max):
+    """The minor of order n of fam is expected(n); the signs are kept as data."""
+    name = families.family_name(fam)
+    signs = _minors([(name, fam, 0, expected)], report, n_max)
+    if name in signs:
+        report.data["signs"] = signs[name]
 
 
 def _hankel_h2(report, n_max):
     """The H2 minors, plus the anti-triangular structure of its 2^k - 1
     windows, k <= _ANTI_K_MAX: ones on the anti-diagonal, zeros below it."""
-    _leading_minors(families.H2, lambda n: 1, report, n_max, abs)
+    _leading_minors(families.H2, lambda n: (-1) ** (n * (n - 1) // 2) * math.prod(
+        map(sequences.SEQUENCES["paperfolding"], range(n))), report, n_max)
     gen = families.entry_fn(families.H2)
     for k in range(1, _ANTI_K_MAX + 1):
         n = 2 ** k - 1
@@ -224,6 +218,8 @@ IDENTITIES = {
         functools.partial(_gram, families.M1(1), lambda i: (-1) ** sequences.thue_morse(i),
                           families.M2, "M1^T D M1"), {"n_max": 64}, "n <= {n_max}".format,
         "Summation index l <= min(i,j), so windowing is exact."),
+    # row i of a shifted P1 or P2 window, C(k+j, i) or C(i+j+k, i), has degree i in k, so
+    # det is a polynomial in k of degree <= n(n-1)/2: k_max = 66 proves n <= 12 for every k
     "det-p1": Identity(
         functools.partial(_unimodular, families.P1(1)), {"n_max": 12, "k_max": 64},
         "n <= {n_max}, k <= {k_max}".format),
@@ -245,6 +241,9 @@ IDENTITIES = {
     "hankel-h1": Identity(
         functools.partial(_leading_minors, families.H1, lambda n: (-1) ** (n // 2)),
         {"n_max": 40}, "n <= {n_max}".format),
+    # H2's minor of order n is (-1)^(n(n-1)/2) pf(0)...pf(n-1), pf the paperfolding sequence:
+    # when each partial quotient of sum c_k X^(-k-1) is alpha_k X + beta_k, the Hankel minor is
+    # (-1)^(n(n-1)/2) prod_{k<=n} alpha_k^-(2(n-k)+1) (Wall 1948), and L2's alpha_k is pf(k-1)
     "hankel-h2": Identity(
         _hankel_h2, {"n_max": 40},
         lambda n_max: f"n <= {n_max}, anti-triangular k <= {_ANTI_K_MAX}"),

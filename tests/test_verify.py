@@ -3,9 +3,13 @@ the full ones)."""
 
 from __future__ import annotations
 
+import inspect
+import math
+import random
+
 import pytest
 
-from pascalhankel import exact, families, sequences, verify
+from pascalhankel import exact, families, laurent, sequences, verify
 
 
 def test_item1_gram():
@@ -75,6 +79,36 @@ def test_det_formulas_pascal():
     assert verify.run_check("det-p2", n_max=8, k_max=16).passed
 
 
+def test_det_formulas_pascal_hold_for_every_k_at_n_le_12():
+    # det of a shifted P1 or P2 window is a polynomial in k of degree at most
+    # n(n-1)/2 = 66 at n = 12, so det 1 at k = 0..66 proves it for every k
+    for identity_id in ("det-p1", "det-p2"):
+        report = verify.run_check(identity_id, n_max=12, k_max=66)
+        assert report.passed
+        assert report.checked == 12 * 67
+
+
+def test_gram_identities_transport_shifted_determinants():
+    """item1 and lemma1 sum over l <= i, so they hold with the right factor's
+    window shifted by k: det(P2 at k) = det(P1 at k) and
+    det(M2 at k) = (-1)^(t_0+...+t_(n-1)) det(M1 at k)."""
+    def det(fam, n, k):
+        return exact.determinant(families.window_of(fam, n, n, k))
+
+    for n in range(1, 13):
+        sign = (-1) ** sum(map(sequences.thue_morse, range(n)))
+        for k in range(41):
+            assert det(families.P2, n, k) == det(families.P1(1), n, k), (n, k)
+            assert det(families.M2, n, k) == sign * det(families.M1(1), n, k), (n, k)
+
+
+def test_sweep_parameters_are_the_grid_keys():
+    # an option no grid names could only be set from Python, never the CLI
+    for identity_id, identity in verify.IDENTITIES.items():
+        params = set(inspect.signature(identity.sweep).parameters) - {"report"}
+        assert params == set(identity.grid), identity_id
+
+
 def test_det_formulas_m2():
     report = verify.run_check("det-m2", n_max=64)
     assert report.passed
@@ -111,6 +145,40 @@ def test_hankel_minors():
     assert r1.passed and r2.passed
     assert exact.determinant(families.window_of(families.H1, 2)) == -1
     assert abs(exact.determinant(families.window_of(families.H2, 3))) == 1
+
+
+def jfraction_minors(quotients):
+    """H_n = (-1)^(n(n-1)/2) prod_{k=1..n} alpha_k^-(2(n-k)+1) for n up to
+    the number of partial quotients A_k, each of degree 1 and leading
+    coefficient alpha_k (Wall 1948; Krattenthaler, LAA 411 (2005))."""
+    assert all(q.degree == 1 for q in quotients)
+    alpha = [q.coeffs[1] for q in quotients]
+    return [(-1) ** (n * (n - 1) // 2)
+            * math.prod(alpha[k - 1] ** -(2 * (n - k) + 1) for k in range(1, n + 1))
+            for n in range(1, len(alpha) + 1)]
+
+
+@pytest.mark.parametrize("series, fam", [("L1", families.H1), ("L2", families.H2)])
+def test_hankel_minors_match_the_j_fraction(series, fam):
+    cf = laurent.cf_expand(laurent.build_L(series, 80), 40)
+    minors = exact.leading_principal_minors(families.window_of(fam, 40))
+    assert jfraction_minors(cf.partial_quotients) == minors
+
+
+def test_j_fraction_minors_of_random_normal_series():
+    rng = random.Random(2005)
+    matched = 0
+    for _ in range(200):
+        coeffs = [rng.randint(-3, 3) for _ in range(24)]
+        try:
+            minors = exact.leading_principal_minors(
+                exact.window(lambda i, j: coeffs[i + j], 12))
+        except exact.SingularMinorError:
+            continue
+        cf = laurent.cf_expand(laurent.LaurentSeries.make(-1, coeffs), 12)
+        assert jfraction_minors(cf.partial_quotients) == minors, coeffs
+        matched += 1
+    assert matched >= 100
 
 
 def catalan_hankel(n, k):
@@ -280,6 +348,11 @@ CORRUPTED_MINORS = {
         "hankel-h2", {"n_max": 4}, ("H2", 0, 4, 2, 1),
         [_failure("anti-triangular n=7, entry (4,2)", 1, 2)],
         10, {"signs": [1, 1, -1, -1]}),
+    # entry (0,4) gains 2: minors 1, 1, -1, -1, 1, all of size 1, and (0,4)
+    # is above every anti-triangular window's anti-diagonal; n=5 wants -1
+    "hankel-h2-signed-minor": ("hankel-h2", {"n_max": 5}, ("H2", 0, 0, 4, 2),
+                               [_failure("H2, n=5", -1, 1)],
+                               11, {"signs": [1, 1, -1, -1, 1]}),
     # the minors 3, -3, -5 are recorded as their signs
     "hankel-h1-signs": ("hankel-h1", {"n_max": 3}, ("H1", 0, 0, 0, 2),
                         [_failure(f"H1, n={n}", want, got)
