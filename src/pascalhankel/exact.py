@@ -1,8 +1,7 @@
 """Exact matrix kernel over the integers and rationals.
 
-Windows of infinite matrices, products, nonnegative powers, fraction-free
-determinants, LDU factorisation, and rank over F_p.  No floating point
-anywhere.
+Windows of infinite matrices, products, fraction-free determinants, LDU
+factorisation, and rank over F_p.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         return ExactMatrix(n, m, tuple(x for r in rows for x in r))
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return window(lambda i, j: int(i == j), n)
-
     def get(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
@@ -91,22 +86,6 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                     acc[j] += x * v
         out.extend(acc)
     return ExactMatrix(a.rows, w, tuple(out))
-
-
-def mat_pow(a: ExactMatrix, e: int) -> ExactMatrix:
-    if a.rows != a.cols:
-        raise ValueError("power requires a square matrix")
-    if e < 0:
-        raise ValueError(f"power requires a nonnegative exponent, got {e}")
-    result = ExactMatrix.identity(a.rows)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
 
 
 def _ints(a: ExactMatrix) -> None:

@@ -108,8 +108,11 @@ def _item2(report, a, n_max):
     P1(a) P1^-a == I, which is equivalent because P1^-a is unitriangular.
     """
     w = functools.cache(lambda c: families.window_of(families.P1(c), n_max))
+    # P1^1 .. P1^max|a| as one running product
+    powers = list(itertools.accumulate(
+        itertools.repeat(w(1), max(map(abs, a), default=0)), exact.mat_mul))
     for x in _nonzero(a):
-        _compare_blocks(report, exact.mat_mul(w(min(x, 0)), exact.mat_pow(w(1), abs(x))),
+        _compare_blocks(report, exact.mat_mul(w(min(x, 0)), powers[abs(x) - 1]),
                         w(max(x, 0)), n_max, f"a={x}")
 
 
@@ -254,7 +257,8 @@ class GridError(ValueError):
     would check nothing: a usage error, not a failed verification."""
 
 
-def _run(identity_id: str, options: dict) -> VerificationReport:
+def run_check(identity_id: str, **options) -> VerificationReport:
+    """Check one identity on its default grid updated by options."""
     t0 = time.perf_counter()
     identity = IDENTITIES.get(identity_id)
     if identity is None:
@@ -274,15 +278,3 @@ def _run(identity_id: str, options: dict) -> VerificationReport:
         raise GridError(f"{identity_id}: the grid {report.parameter_grid} checks nothing")
     report.elapsed = time.perf_counter() - t0
     return report
-
-
-def run_check(identity_id: str, **options) -> VerificationReport:
-    """Check one identity on its default grid updated by options."""
-    return _run(identity_id, options)
-
-
-def run_all() -> list:
-    """Every identity at its default grid, in registry order."""
-    # through _run, not run_check: a wrapper that sums `checked` over both
-    # run_check and run_all would otherwise count these reports twice
-    return [_run(name, {}) for name in IDENTITIES]

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pascalhankel import cli, verify
+from pascalhankel import cli, families, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -81,6 +81,8 @@ PINNED_STDOUT = {
         "fb1208fd4b096b58d0694d111f13b1a1ea793eb0503b65a47147c50962f9090b",
     "verify item2 --a-range=-3:3 --n-max 12 --json":
         "0027b17755040f57d193ce0d13bc54d54468c98e32c929706141fe74a6567976",
+    "verify item2 --a-range=-40:40 --n-max 24 --json":
+        "0dac90e9b22ca63fac24199356e24b4176cb2abd561d99671d39f468169bd632",
     # continued fractions, text mode: every quotient and the exhaustion line
     "cf expand --series L1 --coeffs 161 --quotients 1000":
         "13f4024ce1c2dace184dfb8bbc9632ce3e6ed56b13335911e058045e7fb5a150",
@@ -378,6 +380,25 @@ def test_readme_matches_the_cli():
         assert shown == {key: _grid_text(value) for key, value in grid.items()}, identity_id
         assert (re.findall(r"`(--[\w-]+)`", flag_cell)
                 == [flags[key] for key in grid]), identity_id
+    # the features x families table: a cell names registry keys, tests of
+    # this suite, or a `matrix det` window that the feature fails on
+    table = text.split("\n| feature | ", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert table[0] == " | ".join(families.KINDS) + " |"
+    tests = "\n".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
+    for row in table[2:]:
+        cells = re.split(r"(?<!\\)\|", row)[2:-1]
+        assert len(cells) == len(families.KINDS), row
+        for cell in cells:
+            names = re.findall(r"`([^`]+)`", cell)
+            assert names or cell.strip() == "n/a", row
+            for name in names:
+                if name.startswith("test_"):
+                    assert f"def {name}(" in tests, name
+                elif name.startswith("matrix det "):
+                    assert cell.strip().startswith("fails:"), name
+                    assert run(name.split()) == (0, "0\n"), name
+                else:
+                    assert name in verify.IDENTITIES, name
 
 
 def _grid_text(value) -> str:

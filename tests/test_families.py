@@ -23,7 +23,7 @@ def test_entry_examples():
 def test_delta_at_zero_parameter():
     # the general entry formulas give I at a = 0, at the group laws' size
     for f in (fam.P1(0), fam.M1(0)):
-        assert fam.window_of(f, 64) == exact.ExactMatrix.identity(64)
+        assert fam.window_of(f, 64) == exact.window(lambda i, j: int(i == j), 64)
 
 
 def h2_structure_entry(i: int, j: int) -> int:

@@ -110,9 +110,9 @@ def test_t_value_faure_pairs_and_counterexample():
 
 
 def test_t_value_explicit_matrix_generator():
-    c = exact.ExactMatrix.identity(6)
+    c = exact.window(lambda i, j: int(i == j), 6)
     assert net.t_value(net.GeneratingSet(2, (c,)), 6) == [0] * 6
-    short = net.GeneratingSet(2, (exact.ExactMatrix.identity(4),))
+    short = net.GeneratingSet(2, (exact.window(lambda i, j: int(i == j), 4),))
     # both build their windows at the full depth
     with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
         net.t_value(short, 6)

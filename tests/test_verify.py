@@ -4,12 +4,13 @@ the full ones)."""
 from __future__ import annotations
 
 import inspect
+import io
 import math
 import random
 
 import pytest
 
-from pascalhankel import exact, families, laurent, sequences, verify
+from pascalhankel import cli, exact, families, laurent, sequences, verify
 
 
 def test_item1_gram():
@@ -30,11 +31,21 @@ def test_item2_power():
 
 def test_item2_smallest_cases():
     w = families.window_of(families.P1(1), 2)
-    assert exact.mat_pow(w, 3).to_rows() == [[1, 3], [0, 1]]
+    assert exact.mat_mul(exact.mat_mul(w, w), w).to_rows() == [[1, 3], [0, 1]]
     # a = -1 in product form: P1(-1) P1 == I
     assert exact.mat_mul(families.window_of(families.P1(-1), 3),
                          families.window_of(families.P1(1), 3)) == \
-        exact.ExactMatrix.identity(3)
+        exact.window(lambda i, j: int(i == j), 3)
+
+
+def test_item2_powers_are_one_running_product(monkeypatch):
+    # P1^2 .. P1^max|a| take one product each, and each nonzero a one more
+    calls = []
+    mat_mul = exact.mat_mul
+    monkeypatch.setattr(exact, "mat_mul", lambda x, y: calls.append(1) or mat_mul(x, y))
+    a = verify.IDENTITIES["item2"].grid["a"]
+    assert verify.run_check("item2").passed
+    assert len(calls) == max(map(abs, a)) - 1 + len([x for x in a if x]) == 14
 
 
 def test_group_law_m1_small():
@@ -48,7 +59,7 @@ def test_group_law_m1_inverse_pairs_give_identity():
     for a in (1, 2, 5):
         w = exact.mat_mul(families.window_of(families.M1(a), 16),
                           families.window_of(families.M1(-a), 16))
-        assert w == exact.ExactMatrix.identity(16)
+        assert w == exact.window(lambda i, j: int(i == j), 16)
 
 
 def test_group_law_p1():
@@ -218,7 +229,7 @@ def test_ldu_of_m2_diagonal_is_thue_morse_signs():
 def kronecker_power(rows, r):
     """The r-fold Kronecker power of a 2x2 matrix, a 2^r x 2^r ExactMatrix."""
     base = exact.ExactMatrix.from_rows(rows)
-    out = exact.ExactMatrix.identity(1)
+    out = exact.window(lambda i, j: int(i == j), 1)
     for _ in range(r):
         prev = out
         out = exact.window(lambda i, j: prev.get(i // 2, j // 2) * base.get(i % 2, j % 2),
@@ -296,6 +307,10 @@ CORRUPTED = {
     "item2-positive": ("item2", {"a": (3,), "n_max": 6}, ("P1", 3, 0, 2),
                        {"parameters": "a=3, n=3, entry (0,2)",
                         "expected": "10", "actual": "9"}, 6),
+    # the running product's base P1(1) has its (0,1) entry 1 made 2, so P1^3 holds 6 there
+    "item2-base": ("item2", {"a": (3,), "n_max": 4}, ("P1", 1, 0, 1),
+                   {"parameters": "a=3, n=2, entry (0,1)",
+                    "expected": "3", "actual": "6"}, 4),
     # only the pair (1, 1) multiplies M1(1) twice; (0,1), (0,3), ... differ
     "group-law-m1": ("group-law-m1", {"a": (0, 1), "n_max": 8}, ("M1", 1, 0, 1),
                      {"parameters": "a=1, b=1, n=2, entry (0,1)",
@@ -378,7 +393,7 @@ def test_corrupted_minor_sweep_fails(case, monkeypatch):
 
 def test_compare_blocks_names_the_smallest_failing_block():
     # (0,3) comes first in row order, but (2,2) already breaks the 3 x 3 block
-    rhs = exact.ExactMatrix.identity(4)
+    rhs = exact.window(lambda i, j: int(i == j), 4)
     lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
                                        [0, 0, 7, 0], [0, 0, 0, 1]])
     report = verify.VerificationReport("demo", "n <= 4")
@@ -400,8 +415,15 @@ def test_run_check_registry():
             verify.run_check(identity_id, **options)
 
 
-def test_run_all_does_not_call_run_check(monkeypatch):
-    # a wrapper around run_check must not see run_all's reports a second time
-    monkeypatch.setattr(verify, "IDENTITIES", {"item1": verify.IDENTITIES["item1"]})
-    monkeypatch.setattr(verify, "run_check", lambda *a, **kw: pytest.fail("called"))
-    assert [r.identity_id for r in verify.run_all()] == ["item1"]
+def test_verify_all_is_run_check_over_the_registry(monkeypatch):
+    # one run_check per report, so a wrapper summing `checked` over its
+    # calls counts each report once
+    calls = []
+
+    def run_check(identity_id, **options):
+        calls.append((identity_id, options))
+        return verify.VerificationReport(identity_id, "", checked=1)
+
+    monkeypatch.setattr(verify, "run_check", run_check)
+    assert cli.run(["verify", "all"], out=io.StringIO()) == 0
+    assert calls == [(identity_id, {}) for identity_id in verify.IDENTITIES]
