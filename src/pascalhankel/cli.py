@@ -99,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity verifications")
     v.add_argument("identity", help="identity id or 'all'")
-    v.add_argument("--n-max", type=int, default=None)
-    v.add_argument("--k-max", type=int, default=None)
+    v.add_argument("--n-max", type=_positive, default=None)
+    v.add_argument("--k-max", type=_nonnegative, default=None)
     v.add_argument("--a-range", dest="a", type=_a_range, default=None, metavar="LO:HI",
                    help="LO:HI (write --a-range=-5:5 for negative bounds)")
     v.add_argument("--json", action="store_true")

@@ -94,7 +94,3 @@ def parse_family(text: str) -> Family:
     if key.strip() != "a":
         raise ValueError(f"unknown parameter in {text!r}")
     return Family(name, a=int(val))
-
-
-def family_name(f: Family) -> str:
-    return f"{f.kind}:a={f.a}" if KINDS[f.kind][0] else f.kind

@@ -64,21 +64,21 @@ class VerificationReport:
                 f"[checked {self.checked}, {self.elapsed:.2f}s] {self.parameter_grid}")
 
 
-def _compare_blocks(report, full_lhs, full_rhs, n_max, label):
-    """Compare upper-left n x n blocks for every n <= n_max.
-
-    Equality of the full matrices settles all blocks at once.  Block n
-    holds entry (i, j) exactly when max(i, j) < n, so the differing entry
-    least in (max(i, j), i, j) is reported, in the smallest failing n.
-    """
-    report.checked += n_max
-    if full_lhs == full_rhs:
-        return
-    i, j = min(((i, j) for i in range(n_max) for j in range(n_max)
-                if full_lhs.get(i, j) != full_rhs.get(i, j)),
-               key=lambda ij: (max(ij), ij))
-    report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})",
-                full_rhs.get(i, j), full_lhs.get(i, j))
+def _products(checks, report, n_max):
+    """left right == target for each (label, left, right, target) of n_max x n_max
+    windows.  Equality of the full product settles every upper-left block at once:
+    block n holds entry (i, j) exactly when max(i, j) < n, so the differing entry
+    least in (max(i, j), i, j) is reported, in the smallest failing n."""
+    for label, left, right, target in checks:
+        report.checked += n_max
+        product = exact.mat_mul(left, right)
+        if product != target:
+            i, j = min(((i, j) for i in range(n_max) for j in range(n_max)
+                        if product.get(i, j) != target.get(i, j)),
+                       key=lambda ij: (max(ij), ij))
+            report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})",
+                        target.get(i, j), product.get(i, j))
+        del product  # freed before the next mat_mul: one product alive at a time
 
 
 def _nonzero(a) -> tuple:
@@ -97,8 +97,8 @@ def _gram(fam, sign, target, label, report, n_max):
     w = families.window_of(fam, n_max)
     s = exact.ExactMatrix.from_rows([[sign(i) * x for x in row]
                                      for i, row in enumerate(w.to_rows())])
-    _compare_blocks(report, exact.mat_mul(w.transpose(), s),
-                    families.window_of(target, n_max), n_max, label)
+    _products([(label, w.transpose(), s, families.window_of(target, n_max))],
+              report, n_max)
 
 
 def _item2(report, a, n_max):
@@ -111,17 +111,15 @@ def _item2(report, a, n_max):
     # P1^1 .. P1^max|a| as one running product
     powers = list(itertools.accumulate(
         itertools.repeat(w(1), max(map(abs, a), default=0)), exact.mat_mul))
-    for x in _nonzero(a):
-        _compare_blocks(report, exact.mat_mul(w(min(x, 0)), powers[abs(x) - 1]),
-                        w(max(x, 0)), n_max, f"a={x}")
+    _products(((f"a={x}", w(min(x, 0)), powers[abs(x) - 1], w(max(x, 0)))
+               for x in _nonzero(a)), report, n_max)
 
 
 def _group_law(kind, report, a, n_max):
     """F(a) F(b) == F(a+b) for every pair of a x a, F the family kind."""
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    for x, y in itertools.product(a, a):
-        _compare_blocks(report, exact.mat_mul(w(x), w(y)), w(x + y),
-                        n_max, f"a={x}, b={y}")
+    _products(((f"a={x}, b={y}", w(x), w(y), w(x + y))
+               for x, y in itertools.product(a, a)), report, n_max)
 
 
 def _minors(windows, report, n_max, key=lambda d: d):
@@ -163,10 +161,9 @@ def _det_m1a(report, a, n_max, k_max):
 
 def _leading_minors(fam, expected, report, n_max):
     """The minor of order n of fam is expected(n); the signs are kept as data."""
-    name = families.family_name(fam)
-    signs = _minors([(name, fam, 0, expected)], report, n_max)
-    if name in signs:
-        report.data["signs"] = signs[name]
+    signs = _minors([(fam.kind, fam, 0, expected)], report, n_max)
+    if fam.kind in signs:
+        report.data["signs"] = signs[fam.kind]
 
 
 def _hankel_h2(report, n_max):
@@ -269,8 +266,6 @@ def run_check(identity_id: str, **options) -> VerificationReport:
         raise GridError(f"{identity_id} takes no option {', '.join(unknown)}; "
                         f"its grid is {', '.join(identity.grid)}")
     grid = {**identity.grid, **options}
-    if grid["n_max"] < 1:
-        raise GridError(f"n_max must be at least 1, got {grid['n_max']}")
     report = VerificationReport(identity_id, identity.describe(**grid),
                                 notes=identity.notes)
     identity.sweep(report, **grid)

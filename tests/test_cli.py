@@ -259,10 +259,10 @@ def test_usage_error_exit_code():
     "no-such-identity",
     "item2 --a-range=5",          # malformed range
     "item2 --a-range=1:x",
-    "lemma1 --n-max 0",           # grids that check nothing
+    "lemma1 --n-max 0",           # sizes out of range
     "det-p1 --n-max -1",
     "det-p1 --k-max -1",
-    "group-law-p1 --a-range=3:1",
+    "group-law-p1 --a-range=3:1",  # grids that check nothing
     "det-m1a --a-range=0:0",
     "item2 --a-range=0:0",
 ])

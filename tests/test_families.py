@@ -115,7 +115,3 @@ def test_parse_family():
     with pytest.raises(ValueError):
         fam.parse_family("P1:b=1")
 
-
-def test_family_name_roundtrip():
-    for text in ("P1:a=3", "M1:a=-2", "P2", "M2", "H1", "H2"):
-        assert fam.family_name(fam.parse_family(text)) == text

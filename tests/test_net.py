@@ -395,3 +395,15 @@ def test_search_third_matrix():
     assert rand == net.search_third_matrix(3, 3, "random", 5, seed=1)
     with pytest.raises(ValueError):
         net.search_third_matrix(3, 3, "hankel", 1)
+
+
+def test_m1_candidates_repeat_with_period_p():
+    # M1(a) reduced mod p is M1(a mod p), so the m1 walk a = 2, 3, ... meets a
+    # new candidate only at a < p, and each later one repeats the row of a - p
+    for p in (2, 3, 5, 7):
+        for a in range(22):
+            assert gs(p, fam.M1(a)).windows(8) == gs(p, fam.M1(a % p)).windows(8)
+    t_per_m = {r["candidate"]: r["t_per_m"] for r in net.search_third_matrix(3, 4, "m1", 7)}
+    assert len(t_per_m) == 7
+    assert all(t_per_m[f"M1:a={a}"] == t_per_m[f"M1:a={a - 3}"] for a in range(5, 9))
+    assert len(set(map(tuple, t_per_m.values()))) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import io
+import itertools
 import math
 import random
 
@@ -143,6 +144,24 @@ def test_det_formulas_m1a_reduces_to_unimodular_at_a1():
     assert report.passed
     for signs in report.data["signs"].values():
         assert set(signs) <= {1, -1}
+
+
+def test_det_m1a_signs_are_a_power_times_the_a1_minors():
+    # entry (i, k + j) of M1(a) is a^(s2(k + j) - s2(i)) on a 0/1 pattern free of a,
+    # so each term of the minor of order n carries a^e, e = sum over i < n of
+    # s2(i + k) - s2(i): the minor is a^e times the minor at a = 1, sign included
+    signs = verify.run_check("det-m1a").data["signs"]
+    negative = 0
+    for k in range(33):
+        e = list(itertools.accumulate(sequences.s2(i + k) - sequences.s2(i) for i in range(10)))
+        at1 = exact.leading_principal_minors(families.window_of(families.M1(1), 10, 10, k))
+        for a in (1, -1, 2, -2, 3, -3):
+            got = exact.leading_principal_minors(families.window_of(families.M1(a), 10, 10, k))
+            assert got == [a ** e_n * d for e_n, d in zip(e, at1)], (a, k)
+            assert signs[f"a={a},k={k}"] == [1 if d > 0 else -1 for d in got]
+            negative += sum(d < 0 for d in got)
+    assert len(signs) == 198
+    assert negative == 732
 
 
 def test_det_formulas_unknown():
@@ -391,13 +410,13 @@ def test_corrupted_minor_sweep_fails(case, monkeypatch):
     assert report.data == data
 
 
-def test_compare_blocks_names_the_smallest_failing_block():
+def test_products_names_the_smallest_failing_block():
     # (0,3) comes first in row order, but (2,2) already breaks the 3 x 3 block
-    rhs = exact.window(lambda i, j: int(i == j), 4)
+    identity = exact.window(lambda i, j: int(i == j), 4)
     lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
                                        [0, 0, 7, 0], [0, 0, 0, 1]])
     report = verify.VerificationReport("demo", "n <= 4")
-    verify._compare_blocks(report, lhs, rhs, 4, "demo")
+    verify._products([("demo", lhs, identity, identity)], report, 4)
     assert report.failures == [{"parameters": "demo, n=3, entry (2,2)",
                                 "expected": "1", "actual": "7"}]
     assert report.checked == 4
@@ -413,6 +432,10 @@ def test_run_check_registry():
                                  ("item2", {"a": (0,)}), ("group-law-m1", {"a": ()})]:
         with pytest.raises(verify.GridError):
             verify.run_check(identity_id, **options)
+    with pytest.raises(ValueError):
+        verify.run_check("item1", n_max=-1)
+    # the anti-triangular windows of hankel-h2 do not depend on n_max
+    assert verify.run_check("hankel-h2", n_max=0).checked == verify._ANTI_K_MAX
 
 
 def test_verify_all_is_run_check_over_the_registry(monkeypatch):
