@@ -5,8 +5,6 @@ flags; exit status 0 on success, 1 on verification failure, 2 on usage
 errors, 3 on internal errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

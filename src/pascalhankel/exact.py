@@ -4,8 +4,6 @@ Windows of infinite matrices, products, fraction-free determinants, LDU
 factorisation, and rank over F_p.  No floating point anywhere.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from dataclasses import dataclass

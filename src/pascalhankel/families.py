@@ -1,7 +1,5 @@
 """Entry generators for the Pascal and Catalan-Hankel matrix families."""
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

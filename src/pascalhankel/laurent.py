@@ -10,8 +10,6 @@ coefficients, so A_1, ..., A_k are certified while
 flag) rather than emit an uncertified quotient.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from fractions import Fraction
 

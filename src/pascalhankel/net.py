@@ -6,8 +6,6 @@ in dimensions 1 and 2, and a search harness for a third base-3 generating
 matrix.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random
@@ -231,14 +229,14 @@ def search_third_matrix(p: int, m_max: int, candidate_generator: str,
     """Heuristic exploration for a third matrix C making {M1(0), M1(1), C}
     a small-t triple in base p.  Results are data, not claims.
 
-    candidate_generator "m1" walks M1(a) for a = 2, 3, ...; "random" draws
-    seeded random upper unitriangular matrices of size m_max.
+    "m1" walks M1(a), a = 2 .. p - 1 (M1(a) mod p is M1(a mod p)), at most
+    budget of them; "random" draws seeded random upper unitriangular windows.
     """
     base = GeneratingSet(p, (families.M1(0), families.M1(1))).windows(m_max)
     results = []
     if candidate_generator == "m1":
         candidates = [(f"M1:a={a}", families.M1(a))
-                      for a in range(2, 2 + budget)]
+                      for a in range(2, min(p, 2 + budget))]
     elif candidate_generator == "random":
         rng = random.Random(seed)
         candidates = [(f"random[{i}]", random_upper_unitriangular(m_max, p, rng))

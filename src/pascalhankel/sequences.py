@@ -1,7 +1,5 @@
 """Integer and +-1 sequence generators behind the matrix families."""
 
-from __future__ import annotations
-
 # C_0, C_1, ...: every Catalan number computed so far, in order
 _CATALAN = [1]
 

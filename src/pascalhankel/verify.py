@@ -13,8 +13,6 @@ of the full-size product, so each sweep computes the product once at the
 largest size and compares blocks.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

@@ -96,7 +96,7 @@ PINNED_STDOUT = {
     "net search --p 3 --m-max 6 --candidates random --budget 20 --seed 1":
         "19b3ec2de65d14608f697ba48cb628bf90aa1866c329b2295ec682715a85638b",
     "net search --p 3 --m-max 5 --candidates m1 --budget 5":
-        "8cd42f7a2f044eef6b8e96a1630cc35e7680b8c9fd2f67fa37829e26c47af3dd",
+        "53711a96d93b018b5bafa59a1d70b9af4924b8167c17f15344ff10e917763cc5",
     "net points --p 3 --dims M1:a=0,M1:a=1,M1:a=2 --m 6 --n 729":
         "54288989c6ab60c59335aceb054f4b903f2b42818638886b9487be325af723c0",
     # the sequence rows behind H1/H2 and L1/L2, and windows read from them

@@ -74,6 +74,17 @@ def test_window_rejects_negative():
         exact.window(lambda i, j: 1, -1, 2, 0)
 
 
+def test_exact_matrix_rejects_malformed_shapes():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExactMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match="entry count"):
+        ExactMatrix(2, 2, (1, 2, 3))
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(IndexError, match=r"entry \(2,0\) outside 2x2"):
+        ExactMatrix.from_rows([[1, 2], [3, 4]]).get(2, 0)
+
+
 def test_mat_mul_examples():
     i2 = exact.window(lambda i, j: int(i == j), 2)
     assert exact.mat_mul(i2, i2) == i2

@@ -18,6 +18,8 @@ def test_entry_examples():
     assert fam.entry_fn(fam.M1(2))(1, 3) == 2
     assert fam.entry_fn(fam.M2)(1, 1) == 0
     assert fam.entry_fn(fam.H1)(1, 1) == -1
+    with pytest.raises(ValueError, match="unknown family kind: P3"):
+        fam.entry_fn(fam.Family("P3"))
 
 
 def test_delta_at_zero_parameter():

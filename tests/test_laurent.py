@@ -120,6 +120,10 @@ def test_build_L_examples():
     assert [k for k, c in enumerate(l2.coeffs) if c] == [0, 2, 6]
 
     assert laurent.build_L("L1", 1).coeffs == (1,)
+    # zero above the start exponent, unknown past the last known coefficient
+    assert l1.coefficient(0) == 0
+    with pytest.raises(ValueError, match="beyond precision"):
+        l1.coefficient(-4)
     with pytest.raises(ValueError):
         laurent.build_L("L3", 3)
     with pytest.raises(ValueError):

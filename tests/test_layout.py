@@ -13,23 +13,29 @@ CALLERS = SOURCES + [ROOT / "bench" / "workloads.py"]
 
 
 def defined_names(path):
-    """Top-level functions and classes of a module, and the methods of its
-    top-level classes, without dunders and the `main` entry point."""
+    """Top-level functions, classes and constants of a module, and the
+    methods of its top-level classes; the caller drops dunders and `main`."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, defs):
             yield node.name
         if isinstance(node, ast.ClassDef):
             yield from (m.name for m in node.body if isinstance(m, defs))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            yield from (t.id for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
 
 
 def test_every_defined_name_is_used():
-    # a use is a name or attribute node of the syntax tree, so a name left
-    # only in a comment, a docstring or a string counts as unused
+    # a use is a name read or an attribute node of the syntax tree, so a name
+    # left only in a comment, a docstring, a string or its own assignment
+    # counts as unused
     used = set()
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

@@ -97,6 +97,8 @@ def test_rank_tests_leave_the_window_table_unchanged(monkeypatch):
 
 def test_t_value_van_der_corput():
     assert net.t_value(gs(2, fam.P1(0)), 10) == [0] * 10
+    with pytest.raises(ValueError, match="m_max must be positive"):
+        net.t_value(gs(2, fam.P1(0)), 0)
 
 
 def test_t_value_faure_pairs_and_counterexample():
@@ -398,12 +400,12 @@ def test_search_third_matrix():
 
 
 def test_m1_candidates_repeat_with_period_p():
-    # M1(a) reduced mod p is M1(a mod p), so the m1 walk a = 2, 3, ... meets a
-    # new candidate only at a < p, and each later one repeats the row of a - p
+    # M1(a) reduced mod p is M1(a mod p), so the m1 walk stops at a = p - 1:
+    # a later a would repeat a candidate, and a = 0, 1 are the base generators
     for p in (2, 3, 5, 7):
         for a in range(22):
             assert gs(p, fam.M1(a)).windows(8) == gs(p, fam.M1(a % p)).windows(8)
-    t_per_m = {r["candidate"]: r["t_per_m"] for r in net.search_third_matrix(3, 4, "m1", 7)}
-    assert len(t_per_m) == 7
-    assert all(t_per_m[f"M1:a={a}"] == t_per_m[f"M1:a={a - 3}"] for a in range(5, 9))
-    assert len(set(map(tuple, t_per_m.values()))) == 2
+    for p, budget, walk in ((2, 7, []), (3, 7, ["M1:a=2"]),
+                            (7, 3, ["M1:a=2", "M1:a=3", "M1:a=4"])):
+        results = net.search_third_matrix(p, 4, "m1", budget)
+        assert sorted(r["candidate"] for r in results) == walk

@@ -70,6 +70,8 @@ def test_catalan_values():
     assert seq.catalan(0) == 1
     assert seq.catalan(3) == 5
     assert seq.catalan(10) == 16796
+    with pytest.raises(ValueError):
+        seq.catalan(-1)
 
 
 def test_catalan_formulas_agree():
@@ -86,6 +88,8 @@ def mod2(k):
 
 def test_catalan_interspersed_values():
     assert [seq.catalan_interspersed(k) for k in range(7)] == [1, 0, -1, 0, 2, 0, -5]
+    with pytest.raises(ValueError):
+        seq.catalan_interspersed(-1)
     assert [mod2(k) for k in range(7)] == [1, 0, 1, 0, 0, 0, 1]
     for k in range(50):
         assert seq.catalan_interspersed(2 * k + 1) == 0
