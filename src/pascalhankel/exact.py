@@ -13,9 +13,9 @@ from fractions import Fraction
 class SingularMinorError(ValueError):
     """A leading principal minor vanished where a nonzero one is required."""
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, minors=()):
         super().__init__(f"leading principal minor of order {order} is zero")
-        self.order = order
+        self.order, self.minors = order, list(minors)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def _bareiss(m: list, pivot: bool):
 
     Returns m, eliminated in place, and the sign of the row permutation.
     With pivot a zero pivot is swapped with the first lower row that is
-    nonzero in its column; SingularMinorError(k+1) is raised at a zero
-    pivot that may not (pivot false) or cannot be swapped past.
+    nonzero in its column; SingularMinorError(k+1, minors 1..k) is raised at
+    a zero pivot that may not (pivot false) or cannot be swapped past.
 
     The eliminated column is left in place, and by Sylvester's identity
     the entries it keeps are minors of the (row-permuted) matrix: m[k][k]
@@ -122,7 +122,7 @@ def _bareiss(m: list, pivot: bool):
         if m[k][k] == 0:
             swap = pivot and next((i for i in range(k + 1, n) if m[i][k]), None)
             if not swap:
-                raise SingularMinorError(k + 1)
+                raise SingularMinorError(k + 1, (m[t][t] for t in range(k)))
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         mk = m[k]

@@ -11,6 +11,14 @@ argument is recorded in each report's notes.  For the same reason the
 window-n product of triangular factors equals the upper-left n x n block
 of the full-size product, so each sweep computes the product once at the
 largest size and compares blocks.
+
+The group laws F(a) F(b) == F(a+b), F = P1 or M1, hold for all a and b: if
+entry (i, j) of F(c) is c_ij c^(e_ij), c_ij >= 0, e_ij = e_0j - e_0i, both
+sides are homogeneous in (a, b), so b = 1 suffices, and their coefficients
+in a, at most n max c^2 and c_ij 2^(e_ij), are certified below x = 2^K, so
+W(F(x)) W(F(1)) == W(F(x+1)) proves it (Kronecker substitution).  The
+hypothesis is checked at x, x + 1 and on each window of the grid, so every
+reported pair is covered; on any failure the pair loop names the pair.
 """
 
 import functools
@@ -104,26 +112,63 @@ def _item2(report, a, n_max):
 
     For a > 0 this is P1^a == P1(a), P1(0) being I; for a < 0 it is
     P1(a) P1^-a == I, which is equivalent because P1^-a is unitriangular.
+    One power, a running product in increasing |a|, is alive at a time.
     """
-    w = functools.cache(lambda c: families.window_of(families.P1(c), n_max))
-    # P1^1 .. P1^max|a| as one running product
-    powers = list(itertools.accumulate(
-        itertools.repeat(w(1), max(map(abs, a), default=0)), exact.mat_mul))
-    _products(((f"a={x}", w(min(x, 0)), powers[abs(x) - 1], w(max(x, 0)))
-               for x in _nonzero(a)), report, n_max)
+    def w(c):
+        return families.window_of(families.P1(c), n_max)
+
+    base = w(1)
+    power, p, found = base, 1, {}
+    for t, x in sorted(enumerate(_nonzero(a)), key=lambda tx: abs(tx[1])):
+        while p < abs(x):
+            power, p = exact.mat_mul(power, base), p + 1
+        found[t] = VerificationReport("item2", "")
+        _products([(f"a={x}", w(min(x, 0)), power, w(max(x, 0)))], found[t], n_max)
+    report.checked += n_max * len(found)
+    report.failures += [f for t in sorted(found) for f in found[t].failures]
+
+
+def _refutations(kind, a, n):
+    """fail() arguments for each entry at which the substitution proof (see the
+    module docstring) fails on n x n windows, in the order it checks them."""
+    def differing(label, c, got):
+        for ij, (cij, eij, v) in enumerate(zip(coef, exps, got.entries)):
+            if v != (want := cij and cij * c ** eij):
+                yield f"{label}, entry ({ij // n},{ij % n})", want, v
+
+    coef = (one := families.window_of(families.Family(kind, 1), n)).entries
+    k = (n * max(coef, default=0) ** 2).bit_length() or 1
+    x, wx = 1 << k, families.window_of(families.Family(kind, 1 << k), n)
+    e0 = [max(v.bit_length() - 1, 0) // k for v in wx.entries[:n]]  # e_0j, off row 0
+    exps = [f - g for g in e0 for f in e0]
+    if any(cij < 0 or cij and (eij < 0 or cij << eij >= x) for cij, eij in zip(coef, exps)):
+        yield f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside"
+    yield from differing(f"a={x}", x, wx)
+    product, wx = exact.mat_mul(wx, one), None  # W(F(x)) is freed
+    yield from differing(f"a={x}, b=1", x + 1, product)
+    for c in dict.fromkeys([x + 1, *a, *(p + q for p, q in itertools.product(a, a))]):
+        yield from differing(f"a={c}", c, families.window_of(families.Family(kind, c), n))
 
 
 def _group_law(kind, report, a, n_max):
-    """F(a) F(b) == F(a+b) for every pair of a x a, F the family kind."""
+    """F(a) F(b) == F(a+b) for each pair of a x a, F the family kind, by the
+    substitution proof, else pair by pair, else the proof's first failure."""
+    refuted = next(_refutations(kind, a, n_max), None)
+    if refuted is None:
+        report.checked += len(a) ** 2 * n_max
+        return
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
     _products(((f"a={x}, b={y}", w(x), w(y), w(x + y))
                for x, y in itertools.product(a, a)), report, n_max)
+    if report.passed:
+        report.fail(*refuted)
 
 
 def _minors(windows, report, n_max, key=lambda d: d):
     """key(minor of order n) == expected(n), n <= n_max, for each shifted window
     (label, family, k, expected) by one fraction-free pass; a zero minor fails
-    the window with its order.  Returns the signs by label, zero-free windows only."""
+    the window with its order, after the minors below it.  Returns the signs
+    by label, zero-free windows only."""
     signs = {}
     for label, fam, k, expected in windows:
         report.checked += n_max
@@ -131,13 +176,15 @@ def _minors(windows, report, n_max, key=lambda d: d):
             minors = exact.leading_principal_minors(
                 families.window_of(fam, n_max, n_max, k))
         except exact.SingularMinorError as err:
-            report.fail(label, "nonzero minor", f"zero minor of order {err.order}")
-            continue
+            minors = err.minors + [0]
         for n, det in enumerate(minors, start=1):
             want, got = expected(n), key(det)
-            if got != want:
+            if not det:
+                report.fail(label, "nonzero minor", f"zero minor of order {n}")
+            elif got != want:
                 report.fail(f"{label}, n={n}", want, got)
-        signs[label] = [1 if d > 0 else -1 for d in minors]
+        if all(minors):
+            signs[label] = [1 if d > 0 else -1 for d in minors]
     return signs
 
 
@@ -195,7 +242,6 @@ class Identity:
 
 _A_DEFAULT = tuple(range(-5, 6))
 _ANTI_K_MAX = 6
-_TRIANGULAR = "Products of upper triangular matrices commute with windowing."
 
 IDENTITIES = {
     "item1": Identity(
@@ -206,12 +252,13 @@ IDENTITIES = {
         _item2, {"a": _A_DEFAULT, "n_max": 16},
         lambda a, n_max: f"a in {_a_text(a)} \\ {{0}}, n <= {n_max}",
         "Powers of upper triangular matrices commute with windowing."),
-    "group-law-p1": Identity(
-        functools.partial(_group_law, "P1"), {"a": _A_DEFAULT, "n_max": 64},
-        lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
-    "group-law-m1": Identity(
-        functools.partial(_group_law, "M1"), {"a": _A_DEFAULT, "n_max": 64},
-        lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}", _TRIANGULAR),
+    # proved for every a and b by one product at x = 2^K (module docstring); the grid
+    # is what is reported, each of its windows checked against the proof's hypothesis
+    **{f"group-law-{kind.lower()}": Identity(
+        functools.partial(_group_law, kind), {"a": _A_DEFAULT, "n_max": 64},
+        lambda a, n_max: f"{len(a) ** 2} pairs, n <= {n_max}",
+        "Products of upper triangular matrices commute with windowing.")
+       for kind in ("P1", "M1")},
     "lemma1": Identity(
         functools.partial(_gram, families.M1(1), lambda i: (-1) ** sequences.thue_morse(i),
                           families.M2, "M1^T D M1"), {"n_max": 64}, "n <= {n_max}".format,

@@ -3,11 +3,13 @@ the full ones)."""
 
 from __future__ import annotations
 
+import functools
 import inspect
 import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,6 +49,77 @@ def test_item2_powers_are_one_running_product(monkeypatch):
     a = verify.IDENTITIES["item2"].grid["a"]
     assert verify.run_check("item2").passed
     assert len(calls) == max(map(abs, a)) - 1 + len([x for x in a if x]) == 14
+
+
+@pytest.mark.parametrize("identity_id", ["group-law-p1", "group-law-m1"])
+def test_group_law_is_proved_by_one_product(identity_id, monkeypatch):
+    # W(F(x)) W(F(1)) == W(F(x+1)) proves the law; the 121 pair products never run
+    calls = []
+    mat_mul = exact.mat_mul
+    monkeypatch.setattr(exact, "mat_mul", lambda x, y: calls.append(1) or mat_mul(x, y))
+    report = verify.run_check(identity_id)
+    assert report.passed
+    assert report.checked == 121 * 64
+    assert len(calls) == 1
+
+
+def _pair_loop(kind, a, n_max):
+    """The group law checked pair by pair, one product per pair of a x a and
+    each window built once, as verify falls back to."""
+    report = verify.VerificationReport("pair loop", "")
+    w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
+    verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y))
+                      for x, y in itertools.product(a, a)), report, n_max)
+    return report
+
+
+def test_group_law_reports_equal_the_pair_loop(monkeypatch):
+    # small random grids, honest and with one entry raised at a grid parameter
+    # (which some pair always exposes) or at 12, which no pair reaches and is
+    # never x = 2^K or x + 1
+    rng = random.Random(1993)
+    for trial in range(40):
+        kind, n = rng.choice(["P1", "M1"]), rng.randint(1, 16)
+        a = tuple(rng.sample(range(-4, 5), rng.randint(1, 3)))
+        with monkeypatch.context() as m:
+            if trial % 3:
+                at = rng.choice([*a, *(x + y for x in a for y in a), 12])
+                _corrupt(m, kind, at, rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
+            report = verify.run_check(f"group-law-{kind.lower()}", a=a, n_max=n)
+            oracle = _pair_loop(kind, a, n)
+        assert (report.checked, report.failures) == (oracle.checked, oracle.failures), \
+            (kind, n, a)
+
+
+@pytest.mark.parametrize("kind, k, i, j, expected", [
+    # x = 2^K, K = bit length of n max c^2: 64 C(63,31)^2 for P1, 64 for M1
+    ("P1", 126, 3, 5, math.comb(5, 3) * 2 ** (126 * 2)),
+    ("M1", 7, 1, 3, 2 ** 7),
+])
+def test_group_law_corrupted_at_the_substitution_point_fails(kind, k, i, j, expected,
+                                                               monkeypatch):
+    # no pair of the grid reaches x, so the pair loop passes and the proof's
+    # first differing entry is reported
+    _corrupt(monkeypatch, kind, 2 ** k, i, j)
+    report = verify.run_check(f"group-law-{kind.lower()}")
+    assert report.failures == [{"parameters": f"a={2 ** k}, entry ({i},{j})",
+                                "expected": str(expected), "actual": str(expected + 1)}]
+    assert report.checked == 121 * 64
+
+
+def test_group_law_proof_peaks_below_the_pair_loop():
+    # the proof holds W(F(x)) and its product, or the product and W(F(x+1)),
+    # and no cache of grid windows, so it needs less memory than the pair loop
+    a = verify.IDENTITIES["group-law-p1"].grid["a"]
+    peaks = []
+    for check in (lambda: verify.run_check("group-law-p1"), lambda: _pair_loop("P1", a, 64)):
+        tracemalloc.start()
+        try:
+            assert check().passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_group_law_m1_small():
@@ -330,6 +403,10 @@ CORRUPTED = {
     "item2-base": ("item2", {"a": (3,), "n_max": 4}, ("P1", 1, 0, 1),
                    {"parameters": "a=3, n=2, entry (0,1)",
                     "expected": "3", "actual": "6"}, 4),
+    # a grid parameter outside {1, x, x+1}: only the pair (2, 2) reaches P1(4)
+    "group-law-p1": ("group-law-p1", {"a": (1, 2), "n_max": 6}, ("P1", 4, 1, 4),
+                     {"parameters": "a=2, b=2, n=5, entry (1,4)",
+                      "expected": "257", "actual": "256"}, 4 * 6),
     # only the pair (1, 1) multiplies M1(1) twice; (0,1), (0,3), ... differ
     "group-law-m1": ("group-law-m1", {"a": (0, 1), "n_max": 8}, ("M1", 1, 0, 1),
                      {"parameters": "a=1, b=1, n=2, entry (0,1)",
@@ -358,6 +435,29 @@ def test_corrupted_entry_is_reported_by_entry(case, monkeypatch):
 
 def _failure(parameters, expected, actual) -> dict:
     return {"parameters": parameters, "expected": str(expected), "actual": str(actual)}
+
+
+def test_item2_reports_failures_in_the_order_of_a(monkeypatch):
+    # the powers run in increasing |a| (P1^2, then P1^3), the failures in the order of a
+    _corrupt(monkeypatch, "P1", 1, 0, 1)
+    report = verify.run_check("item2", a=(3, -2), n_max=4)
+    assert report.failures == [_failure("a=3, n=2, entry (0,1)", 3, 6),
+                               _failure("a=-2, n=2, entry (0,1)", 0, 2)]
+
+
+def test_zero_minor_fails_after_the_minors_below_it(monkeypatch):
+    # P1's k=0 window with (1,1) made 2 and (3,3) made 0: leading minors 1, 2, 2, 0
+    _corrupt(monkeypatch, "P1", 1, 1, 1)
+    _corrupt(monkeypatch, "P1", 1, 3, 3, -1)
+    with pytest.raises(exact.SingularMinorError) as err:
+        exact.leading_principal_minors(families.window_of(families.P1(1), 4))
+    assert (err.value.order, err.value.minors) == (4, [1, 2, 2])
+    assert exact.determinant(families.window_of(families.P1(1), 4)) == 0
+    report = verify.run_check("det-p1", n_max=4, k_max=0)
+    assert report.failures == [_failure("k=0, n=2", 1, 2), _failure("k=0, n=3", 1, 2),
+                               _failure("k=0", "nonzero minor", "zero minor of order 4")]
+    assert report.checked == 4
+    assert report.data == {}
 
 
 # the minor sweeps: (identity, options, corrupted (kind, a, i, j, delta),
