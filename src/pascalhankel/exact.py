@@ -54,9 +54,6 @@ class ExactMatrix:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
 
-    def transpose(self) -> "ExactMatrix":
-        return window(lambda i, j: self.get(j, i), self.cols, self.rows)
-
 
 def window(gen, n: int, m: int | None = None, k: int = 0) -> ExactMatrix:
     """n x m window of the infinite matrix gen(i, j), columns starting at k."""

@@ -24,6 +24,7 @@ reported pair is covered; on any failure the pair loop names the pair.
 import functools
 import itertools
 import math
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -71,14 +72,14 @@ class VerificationReport:
 
 
 def _products(checks, report, n_max):
-    """left right == target for each (label, left, right, target) of n_max x n_max
-    windows.  Equality of the full product settles every upper-left block at once:
-    block n holds entry (i, j) exactly when max(i, j) < n, so the differing entry
-    least in (max(i, j), i, j) is reported, in the smallest failing n."""
+    """left right == target() for each (label, left, right, target) of n_max x n_max
+    windows, target() built after the product.  Equality of the full product settles
+    every upper-left block at once: block n holds (i, j) exactly when max(i, j) < n, so
+    the differing entry least in (max(i, j), i, j) is reported, in the smallest failing n."""
     for label, left, right, target in checks:
         report.checked += n_max
         product = exact.mat_mul(left, right)
-        if product != target:
+        if product != (target := target()):
             i, j = min(((i, j) for i in range(n_max) for j in range(n_max)
                         if product.get(i, j) != target.get(i, j)),
                        key=lambda ij: (max(ij), ij))
@@ -97,14 +98,40 @@ def _a_text(a) -> str:
     return f"[{a[0]},{a[-1]}]" if a and a == tuple(range(a[0], a[-1] + 1)) else str(a)
 
 
-def _gram(fam, sign, target, label, report, n_max):
-    """W^T S == the window of target, W the window of fam and S its rows
-    times sign(i): item 1 with every sign 1, Lemma 1 with (-1)^t_i."""
-    w = families.window_of(fam, n_max)
-    s = exact.ExactMatrix.from_rows([[sign(i) * x for x in row]
-                                     for i, row in enumerate(w.to_rows())])
-    _products([(label, w.transpose(), s, families.window_of(target, n_max))],
-              report, n_max)
+def _gram(target, label, expected, report, n_max):
+    """L diag(D) L^T == target's window, (L, D) = _GRAM[target.kind](n_max), as item 1 and
+    Lemma 1 report it.  Given expected, L unit lower triangular proves the minors D_0...D_(n-1)
+    == expected(n), signs kept as data; on any mismatch the Bareiss pass checks them."""
+    lower, d = _GRAM[target.kind](n_max)
+    e = lower.entries
+    upper = exact.window(lambda i, j: d[i] * e[j * n_max + i], n_max)  # D L^T
+    if expected is None:
+        return _products([(label, lower, upper, functools.partial(
+            families.window_of, target, n_max))], report, n_max)
+    minors = list(itertools.accumulate(d, operator.mul))
+    if (exact.mat_mul(lower, upper) == families.window_of(target, n_max)
+            and all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
+            and minors == [expected(n) for n in range(1, n_max + 1)]):
+        report.checked += n_max
+        report.data["signs"] = [1 if m > 0 else -1 for m in minors]
+    elif label in (signs := _minors([(label, target, 0, expected)], report, n_max)):
+        report.data["signs"] = signs[label]
+
+
+def _transposed(fam, t, n):
+    """The Gram factor of n x n windows: L is the window of fam transposed, D_i = (-1)^t(i)."""
+    gen = families.entry_fn(fam)
+    return exact.window(lambda i, j: gen(j, i), n), [(-1) ** t(i) for i in range(n)]
+
+
+def _stieltjes(gamma, n):
+    """Gram factor of the Hankel matrix of Dyck paths, gamma(h) per step down from height h:
+    L[0][0] = 1, L[r+1][k] = L[r][k-1] + gamma(k+1) L[r][k+1]; D_k = gamma(1)...gamma(k)."""
+    g, rows = [gamma(k) for k in range(1, n + 1)], [[1] + [0] * (n - 1)]
+    while len(rows) < n:
+        rows.append([x + y * z for x, y, z in zip([0, *rows[-1]], g, [*rows[-1][1:], 0])])
+    d = list(itertools.accumulate([1, *g], operator.mul))  # D_0 .. D_n
+    return exact.ExactMatrix.from_rows(rows[:n]), d[:n]
 
 
 def _item2(report, a, n_max):
@@ -123,7 +150,7 @@ def _item2(report, a, n_max):
         while p < abs(x):
             power, p = exact.mat_mul(power, base), p + 1
         found[t] = VerificationReport("item2", "")
-        _products([(f"a={x}", w(min(x, 0)), power, w(max(x, 0)))], found[t], n_max)
+        _products([(f"a={x}", w(min(x, 0)), power, lambda: w(max(x, 0)))], found[t], n_max)
     report.checked += n_max * len(found)
     report.failures += [f for t in sorted(found) for f in found[t].failures]
 
@@ -132,8 +159,10 @@ def _refutations(kind, a, n):
     """fail() arguments for each entry at which the substitution proof (see the
     module docstring) fails on n x n windows, in the order it checks them."""
     def differing(label, c, got):
+        # c^0 .. c^max(e_ij) once; a negative e_ij, out of the table, is a hypothesis failure
+        powers = [c ** e for e in range(max(exps, default=0) + 1)]
         for ij, (cij, eij, v) in enumerate(zip(coef, exps, got.entries)):
-            if v != (want := cij and cij * c ** eij):
+            if v != (want := cij and cij * (powers[eij] if eij >= 0 else c ** eij)):
                 yield f"{label}, entry ({ij // n},{ij % n})", want, v
 
     coef = (one := families.window_of(families.Family(kind, 1), n)).entries
@@ -158,7 +187,7 @@ def _group_law(kind, report, a, n_max):
         report.checked += len(a) ** 2 * n_max
         return
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    _products(((f"a={x}, b={y}", w(x), w(y), w(x + y))
+    _products(((f"a={x}, b={y}", w(x), w(y), functools.partial(w, x + y))
                for x, y in itertools.product(a, a)), report, n_max)
     if report.passed:
         report.fail(*refuted)
@@ -204,18 +233,11 @@ def _det_m1a(report, a, n_max, k_max):
     report.data["signs"] = {label.replace(" ", ""): s for label, s in signs.items()}
 
 
-def _leading_minors(fam, expected, report, n_max):
-    """The minor of order n of fam is expected(n); the signs are kept as data."""
-    signs = _minors([(fam.kind, fam, 0, expected)], report, n_max)
-    if fam.kind in signs:
-        report.data["signs"] = signs[fam.kind]
-
-
 def _hankel_h2(report, n_max):
     """The H2 minors, plus the anti-triangular structure of its 2^k - 1
     windows, k <= _ANTI_K_MAX: ones on the anti-diagonal, zeros below it."""
-    _leading_minors(families.H2, lambda n: (-1) ** (n * (n - 1) // 2) * math.prod(
-        map(sequences.SEQUENCES["paperfolding"], range(n))), report, n_max)
+    _gram(families.H2, "H2", lambda n: (-1) ** (n * (n - 1) // 2) * math.prod(
+        map(_PF, range(n))), report, n_max)
     gen = families.entry_fn(families.H2)
     for k in range(1, _ANTI_K_MAX + 1):
         n = 2 ** k - 1
@@ -242,12 +264,23 @@ class Identity:
 
 _A_DEFAULT = tuple(range(-5, 6))
 _ANTI_K_MAX = 6
+_PF = sequences.SEQUENCES["paperfolding"]
+
+# target kind -> its Gram factor (_gram).  L is unit lower triangular, so the leading
+# n x n block of L D L^T is L_n D_n L_n^T and its minor of order n is D_0...D_(n-1), for
+# every n.  H1 and H2 are J-fraction Hankel matrices (Flajolet, Discrete Math. 32 (1980);
+# Viennot, UQAM 1983); pf(k)^2 = 1 makes H2's D_k = (-1)^k pf(k), pf the paperfolding terms
+_GRAM = {
+    "P2": functools.partial(_transposed, families.P1(1), lambda i: 0),
+    "M2": functools.partial(_transposed, families.M1(1), sequences.thue_morse),
+    "H1": functools.partial(_stieltjes, lambda k: -1),
+    "H2": functools.partial(_stieltjes, lambda k: -_PF(k - 1) * _PF(k)),
+}
 
 IDENTITIES = {
     "item1": Identity(
-        functools.partial(_gram, families.P1(1), lambda i: 1, families.P2, "P1^T P1"),
-        {"n_max": 32}, "n <= {n_max}".format,
-        "Gram entries sum over l <= min(i,j), so windowing is exact."),
+        functools.partial(_gram, families.P2, "P1^T P1", None), {"n_max": 32},
+        "n <= {n_max}".format, "Gram entries sum over l <= min(i,j), so windowing is exact."),
     "item2": Identity(
         _item2, {"a": _A_DEFAULT, "n_max": 16},
         lambda a, n_max: f"a in {_a_text(a)} \\ {{0}}, n <= {n_max}",
@@ -260,9 +293,8 @@ IDENTITIES = {
         "Products of upper triangular matrices commute with windowing.")
        for kind in ("P1", "M1")},
     "lemma1": Identity(
-        functools.partial(_gram, families.M1(1), lambda i: (-1) ** sequences.thue_morse(i),
-                          families.M2, "M1^T D M1"), {"n_max": 64}, "n <= {n_max}".format,
-        "Summation index l <= min(i,j), so windowing is exact."),
+        functools.partial(_gram, families.M2, "M1^T D M1", None), {"n_max": 64},
+        "n <= {n_max}".format, "Summation index l <= min(i,j), so windowing is exact."),
     # row i of a shifted P1 or P2 window, C(k+j, i) or C(i+j+k, i), has degree i in k, so
     # det is a polynomial in k of degree <= n(n-1)/2: k_max = 66 proves n <= 12 for every k
     "det-p1": Identity(
@@ -273,22 +305,18 @@ IDENTITIES = {
         "n <= {n_max}, k <= {k_max}".format),
     # M2's minor of order n is the product of (-1)^s2(i) over i < n
     "det-m2": Identity(
-        functools.partial(_leading_minors, families.M2,
+        functools.partial(_gram, families.M2, "M2",
                           lambda n: (-1) ** sum(map(sequences.s2, range(n)))),
         {"n_max": 64}, "n <= {n_max}".format),
     "det-m1a": Identity(
         _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
         lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {_nonzero(a)}",
         "Sign is recorded as data; only |det| is predicted."),
-    # H1's minor of order n is (-1)^floor(n/2): even indices first, in rows and columns
-    # alike (the permutation's sign cancels), split its window into D (C_{a+b}) D and
-    # -D (C_{a+b+1}) D, D = diag((-1)^a), and both Catalan Hankel matrices have det 1
+    # H1's minor of order n is (-1)^floor(n/2) = (-1)^(n(n-1)/2), as D_k = (-1)^k (_GRAM)
     "hankel-h1": Identity(
-        functools.partial(_leading_minors, families.H1, lambda n: (-1) ** (n // 2)),
+        functools.partial(_gram, families.H1, "H1", lambda n: (-1) ** (n // 2)),
         {"n_max": 40}, "n <= {n_max}".format),
-    # H2's minor of order n is (-1)^(n(n-1)/2) pf(0)...pf(n-1), pf the paperfolding sequence:
-    # when each partial quotient of sum c_k X^(-k-1) is alpha_k X + beta_k, the Hankel minor is
-    # (-1)^(n(n-1)/2) prod_{k<=n} alpha_k^-(2(n-k)+1) (Wall 1948), and L2's alpha_k is pf(k-1)
+    # H2's minor of order n is (-1)^(n(n-1)/2) pf(0)...pf(n-1), as D_k = (-1)^k pf(k) (_GRAM)
     "hankel-h2": Identity(
         _hankel_h2, {"n_max": 40},
         lambda n_max: f"n <= {n_max}, anti-triangular k <= {_ANTI_K_MAX}"),

@@ -9,11 +9,24 @@ import io
 import itertools
 import math
 import random
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from pascalhankel import cli, exact, families, laurent, sequences, verify
+
+
+def transpose(a):
+    return exact.window(lambda i, j: a.get(j, i), a.cols, a.rows)
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of each call of exact.<name> from here on."""
+    calls, fn = [], getattr(exact, name)
+    monkeypatch.setattr(exact, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
 
 
 def test_item1_gram():
@@ -43,9 +56,7 @@ def test_item2_smallest_cases():
 
 def test_item2_powers_are_one_running_product(monkeypatch):
     # P1^2 .. P1^max|a| take one product each, and each nonzero a one more
-    calls = []
-    mat_mul = exact.mat_mul
-    monkeypatch.setattr(exact, "mat_mul", lambda x, y: calls.append(1) or mat_mul(x, y))
+    calls = _calls(monkeypatch, "mat_mul")
     a = verify.IDENTITIES["item2"].grid["a"]
     assert verify.run_check("item2").passed
     assert len(calls) == max(map(abs, a)) - 1 + len([x for x in a if x]) == 14
@@ -54,9 +65,7 @@ def test_item2_powers_are_one_running_product(monkeypatch):
 @pytest.mark.parametrize("identity_id", ["group-law-p1", "group-law-m1"])
 def test_group_law_is_proved_by_one_product(identity_id, monkeypatch):
     # W(F(x)) W(F(1)) == W(F(x+1)) proves the law; the 121 pair products never run
-    calls = []
-    mat_mul = exact.mat_mul
-    monkeypatch.setattr(exact, "mat_mul", lambda x, y: calls.append(1) or mat_mul(x, y))
+    calls = _calls(monkeypatch, "mat_mul")
     report = verify.run_check(identity_id)
     assert report.passed
     assert report.checked == 121 * 64
@@ -68,7 +77,7 @@ def _pair_loop(kind, a, n_max):
     each window built once, as verify falls back to."""
     report = verify.VerificationReport("pair loop", "")
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y))
+    verify._products(((f"a={x}, b={y}", w(x), w(y), functools.partial(w, x + y))
                       for x, y in itertools.product(a, a)), report, n_max)
     return report
 
@@ -107,18 +116,29 @@ def test_group_law_corrupted_at_the_substitution_point_fails(kind, k, i, j, expe
     assert report.checked == 121 * 64
 
 
+def _window_bytes(w):
+    """The bytes a window holds: its entry tuple and its ints outside CPython's
+    small-int cache, each a separate allocation."""
+    return sys.getsizeof(w.entries) + sum(sys.getsizeof(v) for v in w.entries
+                                          if not -5 <= v <= 256)
+
+
 def test_group_law_proof_peaks_below_the_pair_loop():
     # the proof holds W(F(x)) and its product, or the product and W(F(x+1)),
-    # and no cache of grid windows, so it needs less memory than the pair loop
+    # and no cache of grid windows, so it needs less memory than the pair loop.
+    # When the pair loop compares its last product, P1(5) P1(5), its cache holds
+    # the window of every c in a and a + a, and the product equals W(P1(10)): that
+    # many bytes bound its peak from below without running it
     a = verify.IDENTITIES["group-law-p1"].grid["a"]
-    peaks = []
-    for check in (lambda: verify.run_check("group-law-p1"), lambda: _pair_loop("P1", a, 64)):
-        tracemalloc.start()
-        try:
-            assert check().passed
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    windows = {c: families.window_of(families.P1(c), 64)
+               for c in {*a, *(x + y for x in a for y in a)}}
+    pair_loop = sum(map(_window_bytes, windows.values())) + _window_bytes(windows[2 * max(a)])
+    tracemalloc.start()
+    try:
+        assert verify.run_check("group-law-p1").passed
+        peaks = [tracemalloc.get_traced_memory()[1], pair_loop]
+    finally:
+        tracemalloc.stop()
     assert peaks[0] <= peaks[1]
 
 
@@ -156,7 +176,7 @@ def test_lemma1():
     m1 = families.window_of(families.M1(1), 2)
     d_m1 = exact.ExactMatrix.from_rows([[d * x for x in row]
                                         for d, row in zip((1, -1), m1.to_rows())])
-    assert exact.mat_mul(m1.transpose(), d_m1).to_rows() == [[1, 1], [1, 0]]
+    assert exact.mat_mul(transpose(m1), d_m1).to_rows() == [[1, 1], [1, 0]]
 
 
 def test_det_formulas_pascal():
@@ -312,6 +332,105 @@ def test_h1_window_determinant_closed_form():
         assert abs(det) == h1_window_det_abs(n, k), (n, k)
 
 
+def ballot(i, k):
+    """Entry (i, k) of the signed ballot triangle: (-1)^((i-k)/2) (k+1)/(i+1)
+    C(i+1, (i-k)/2) for i >= k of equal parity, else 0."""
+    if k > i or (i - k) % 2:
+        return 0
+    h = (i - k) // 2
+    return (-1) ** h * (k + 1) * math.comb(i + 1, h) // (i + 1)
+
+
+def test_gram_factors_closed_forms():
+    n = 64
+    pf = sequences.SEQUENCES["paperfolding"]
+    # item 1 and Lemma 1: L = P1^T, D = 1 and L = M1^T, D_i = (-1)^t_i
+    assert verify._GRAM["P2"](n) == (transpose(families.window_of(families.P1(1), n)), [1] * n)
+    assert verify._GRAM["M2"](n) == (transpose(families.window_of(families.M1(1), n)),
+                                     [(-1) ** sequences.thue_morse(i) for i in range(n)])
+    h1, d1 = verify._GRAM["H1"](n)
+    assert h1 == exact.window(ballot, n)
+    assert d1 == [(-1) ** k for k in range(n)]
+    # the mod-2 member's triangle is the pure one's mod 2
+    h2, d2 = verify._GRAM["H2"](n)
+    assert set(h2.entries) <= {0, 1, -1}
+    assert [x % 2 for x in h2.entries] == [x % 2 for x in h1.entries]
+    assert d2 == [(-1) ** k * pf(k) for k in range(n)]
+    assert verify._GRAM["H1"](0) == (exact.window(ballot, 0), [])
+
+
+@pytest.mark.parametrize("kind", ["H1", "H2"])
+def test_stieltjes_factors_are_the_ldu_of_the_hankel_windows(kind):
+    # the LDU factors are unique, so every n <= 64 is the leading block of n = 64
+    factors = exact.ldu_decompose(families.window_of(families.Family(kind), 64))
+    lower, d = verify._GRAM[kind](64)
+    assert (factors.L, list(factors.D), factors.U) == (lower, d, transpose(lower))
+    for n in (1, 2, 5, 17):
+        assert verify._GRAM[kind](n) == (exact.window(lower.get, n), d[:n])
+
+
+@pytest.mark.parametrize("series, kind", [("L1", "H1"), ("L2", "H2")])
+def test_stieltjes_factors_match_the_j_fraction(series, kind):
+    # partial quotients A_k = alpha_k X + b_k give D_0 = 1/alpha_1, gamma_k =
+    # D_k/D_(k-1) = -1/(alpha_k alpha_(k+1)) and linear terms -b_k/alpha_k, here 0
+    quotients = laurent.cf_expand(laurent.build_L(series, 80), 40).partial_quotients
+    alpha = [q.coeffs[1] for q in quotients]
+    _, d = verify._GRAM[kind](len(alpha))
+    assert [q.coeffs[0] for q in quotients] == [0] * 40
+    assert d[0] == 1 / alpha[0]
+    assert [Fraction(d[k], d[k - 1]) for k in range(1, 40)] == \
+        [-1 / (alpha[k - 1] * alpha[k]) for k in range(1, 40)]
+
+
+@pytest.mark.parametrize("identity_id", ["det-m2", "hankel-h1", "hankel-h2"])
+def test_gram_proves_the_minors_by_one_product(identity_id, monkeypatch):
+    products = _calls(monkeypatch, "mat_mul")
+    minors = _calls(monkeypatch, "leading_principal_minors")
+    report = verify.run_check(identity_id)
+    assert report.passed
+    assert (len(products), len(minors)) == (1, 0)
+
+
+def test_gram_with_a_d_against_expected_falls_back(monkeypatch):
+    # H1 is L D L^T, but D's prefix products are not the expected minors 1, 1, ...:
+    # the Bareiss pass reports what it reports without the product
+    products = _calls(monkeypatch, "mat_mul")
+    minors = _calls(monkeypatch, "leading_principal_minors")
+    report = verify.VerificationReport("demo", "")
+    verify._gram(families.H1, "H1", lambda n: 1, report, 6)
+    oracle = verify.VerificationReport("demo", "")
+    signs = verify._minors([("H1", families.H1, 0, lambda n: 1)], oracle, 6)
+    assert report.failures == oracle.failures == [
+        _failure(f"H1, n={n}", 1, -1) for n in (2, 3, 6)]
+    assert (report.checked, report.data) == (oracle.checked, {"signs": signs["H1"]}) == \
+        (6, {"signs": [1, -1, -1, 1, 1, -1]})
+    assert (len(products), len(minors)) == (1, 2)
+
+
+def test_gram_without_a_unit_diagonal_falls_back(monkeypatch):
+    # L diag(s) D diag(s) L^T == L D L^T for signs s, so the product still holds
+    # with columns of L negated, but L is no longer unit: the Bareiss pass runs
+    lower, d = verify._GRAM["H1"](8)
+    negated = exact.window(lambda i, j: (-1) ** j * lower.get(i, j), 8)
+    monkeypatch.setitem(verify._GRAM, "H1", lambda n: (negated, d))
+    minors = _calls(monkeypatch, "leading_principal_minors")
+    report = verify.run_check("hankel-h1", n_max=8)
+    assert report.passed
+    assert report.data == {"signs": [1 if (n // 2) % 2 == 0 else -1 for n in range(1, 9)]}
+    assert len(minors) == 1
+
+
+def test_power_table_leaves_negative_exponents_to_pow(monkeypatch):
+    # P1(1) with entry (3,1) set makes c_31 = 1 at e_31 = e_01 - e_03 = -2, a failed
+    # hypothesis; the entry's want is x^-2, not an entry counted from the table's end
+    _corrupt(monkeypatch, "P1", 1, 3, 1)
+    refuted = list(verify._refutations("P1", (1,), 4))
+    x = 2 ** (4 * 3 ** 2).bit_length()
+    assert refuted[0] == (f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{x.bit_length() - 1})",
+                          "a coefficient outside")
+    assert (f"a={x}, entry (3,1)", x ** -2, 0) in refuted
+
+
 def test_ldu_of_m2_diagonal_is_thue_morse_signs():
     factors = exact.ldu_decompose(families.window_of(families.M2, 32))
     assert list(factors.D) == \
@@ -348,7 +467,7 @@ def test_m_side_windows_are_kronecker_powers():
         # and U being the windows of M1(1)^T and M1(1) from lemma1
         factors = exact.ldu_decompose(m2)
         assert factors.L == kronecker_power([[1, 0], [1, 1]], r)
-        assert factors.L == families.window_of(families.M1(1), n).transpose()
+        assert factors.L == transpose(families.window_of(families.M1(1), n))
         assert list(factors.D) == [signs.get(i, i) for i in range(n)]
         assert factors.U == kronecker_power([[1, 1], [0, 1]], r)
     two = exact.ExactMatrix.from_rows
@@ -504,10 +623,13 @@ CORRUPTED_MINORS = {
 def test_corrupted_minor_sweep_fails(case, monkeypatch):
     identity_id, options, corrupted, failures, checked, data = case
     _corrupt(monkeypatch, *corrupted)
+    minors = _calls(monkeypatch, "leading_principal_minors")
     report = verify.run_check(identity_id, **options)
     assert report.failures == failures
     assert report.checked == checked
     assert report.data == data
+    # det-m2 and hankel-h* name a failed minor through the Bareiss fallback
+    assert bool(minors) == any("anti-triangular" not in f["parameters"] for f in failures)
 
 
 def test_products_names_the_smallest_failing_block():
@@ -516,7 +638,7 @@ def test_products_names_the_smallest_failing_block():
     lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
                                        [0, 0, 7, 0], [0, 0, 0, 1]])
     report = verify.VerificationReport("demo", "n <= 4")
-    verify._products([("demo", lhs, identity, identity)], report, 4)
+    verify._products([("demo", lhs, identity, lambda: identity)], report, 4)
     assert report.failures == [{"parameters": "demo, n=3, entry (2,2)",
                                 "expected": "1", "actual": "7"}]
     assert report.checked == 4
