@@ -1,4 +1,4 @@
-"""Entry generators for the Pascal and Catalan-Hankel matrix families."""
+"""Entry generators for the Pascal and Catalan-Hankel matrix families; Gram factors."""
 
 import math
 from dataclasses import dataclass
@@ -92,3 +92,30 @@ def parse_family(text: str) -> Family:
     if key.strip() != "a":
         raise ValueError(f"unknown parameter in {text!r}")
     return Family(name, a=int(val))
+
+
+def _transposed(fam, t, n):
+    """The Gram factor of n x n windows: L is the window of fam transposed, D_i = (-1)^t(i)."""
+    gen = entry_fn(fam)
+    return exact.window(lambda i, j: gen(j, i), n), [(-1) ** t(i) for i in range(n)]
+
+
+def _stieltjes(gamma, n):
+    """Gram factor of the Hankel matrix of Dyck paths, gamma(h) per step down from height h:
+    L[0][0] = 1, L[r+1][k] = L[r][k-1] + gamma(k+1) L[r][k+1]; D_k = gamma(1)...gamma(k)."""
+    g, rows = [gamma(k) for k in range(1, n + 1)], [[1] + [0] * (n - 1)]
+    while len(rows) < n:
+        rows.append([x + y * z for x, y, z in zip([0, *rows[-1]], g, [*rows[-1][1:], 0])])
+    return exact.ExactMatrix.from_rows(rows[:n]), [math.prod(g[:k]) for k in range(n)]
+
+
+_PF = sequences.SEQUENCES["paperfolding"]
+# kind -> the Gram factor (L, D) of its n x n windows, L diag(D) L^T with L unit lower triangular:
+# the minor of order n is D_0...D_(n-1), for every n.  H1 and H2 are J-fraction Hankel matrices
+# (Flajolet, Discrete Math. 32 (1980); Viennot, UQAM 1983); H2's D_k = (-1)^k pf(k), pf^2 = 1.
+GRAM = {
+    "P2": lambda n: _transposed(P1(1), lambda i: 0, n),
+    "M2": lambda n: _transposed(M1(1), sequences.thue_morse, n),
+    "H1": lambda n: _stieltjes(lambda k: -1, n),
+    "H2": lambda n: _stieltjes(lambda k: -_PF(k - 1) * _PF(k), n),
+}

@@ -99,39 +99,28 @@ def _a_text(a) -> str:
 
 
 def _gram(target, label, expected, report, n_max):
-    """L diag(D) L^T == target's window, (L, D) = _GRAM[target.kind](n_max), as item 1 and
-    Lemma 1 report it.  Given expected, L unit lower triangular proves the minors D_0...D_(n-1)
-    == expected(n), signs kept as data; on any mismatch the Bareiss pass checks them."""
-    lower, d = _GRAM[target.kind](n_max)
-    e = lower.entries
-    upper = exact.window(lambda i, j: d[i] * e[j * n_max + i], n_max)  # D L^T
-    if expected is None:
-        return _products([(label, lower, upper, functools.partial(
-            families.window_of, target, n_max))], report, n_max)
-    minors = list(itertools.accumulate(d, operator.mul))
-    if (exact.mat_mul(lower, upper) == families.window_of(target, n_max)
-            and all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
-            and minors == [expected(n) for n in range(1, n_max + 1)]):
+    """L diag(D) L^T == A, target's window, (L, D) = families.GRAM[target.kind](n_max), as
+    L u == a, u_l = D_l sum_j L_jl x^j, a_i = sum_j A_ij x^j, x = 2^k > 2 |each entry of L D L^T
+    and A| (Kronecker substitution).  Given expected, unit lower triangular L proves the minors
+    D_0...D_(n-1) == expected(n), signs kept as data; mismatches go to _products or _minors."""
+    (lower, d), gen = families.GRAM[target.kind](n_max), families.entry_fn(target)
+    e, minors = lower.entries, list(itertools.accumulate(d, operator.mul))
+    rows = [[gen(i, j) for j in range(n_max)] for i in range(n_max)]
+    k = max(n_max * max(map(abs, e), default=0) ** 2 * max(map(abs, d), default=0),
+            max(map(abs, itertools.chain(*rows)), default=0)).bit_length() + 1
+    ua = (exact.ExactMatrix(n_max, 1, tuple(sum(v << k * j for j, v in enumerate(r)) for r in m))
+          for m in (([x * v for v in e[l::n_max]] for l, x in enumerate(d)), rows))
+    if (all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
+            and (expected is None or minors == [expected(n) for n in range(1, n_max + 1)])
+            and exact.mat_mul(lower, next(ua)) == next(ua)):
         report.checked += n_max
-        report.data["signs"] = [1 if m > 0 else -1 for m in minors]
+        if expected is not None:
+            report.data["signs"] = [1 if m > 0 else -1 for m in minors]
+    elif expected is None:
+        _products([(label, lower, exact.window(lambda i, j: d[i] * e[j * n_max + i], n_max),
+                    functools.partial(families.window_of, target, n_max))], report, n_max)
     elif label in (signs := _minors([(label, target, 0, expected)], report, n_max)):
         report.data["signs"] = signs[label]
-
-
-def _transposed(fam, t, n):
-    """The Gram factor of n x n windows: L is the window of fam transposed, D_i = (-1)^t(i)."""
-    gen = families.entry_fn(fam)
-    return exact.window(lambda i, j: gen(j, i), n), [(-1) ** t(i) for i in range(n)]
-
-
-def _stieltjes(gamma, n):
-    """Gram factor of the Hankel matrix of Dyck paths, gamma(h) per step down from height h:
-    L[0][0] = 1, L[r+1][k] = L[r][k-1] + gamma(k+1) L[r][k+1]; D_k = gamma(1)...gamma(k)."""
-    g, rows = [gamma(k) for k in range(1, n + 1)], [[1] + [0] * (n - 1)]
-    while len(rows) < n:
-        rows.append([x + y * z for x, y, z in zip([0, *rows[-1]], g, [*rows[-1][1:], 0])])
-    d = list(itertools.accumulate([1, *g], operator.mul))  # D_0 .. D_n
-    return exact.ExactMatrix.from_rows(rows[:n]), d[:n]
 
 
 def _item2(report, a, n_max):
@@ -144,8 +133,7 @@ def _item2(report, a, n_max):
     def w(c):
         return families.window_of(families.P1(c), n_max)
 
-    base = w(1)
-    power, p, found = base, 1, {}
+    power, p, found = (base := w(1)), 1, {}
     for t, x in sorted(enumerate(_nonzero(a)), key=lambda tx: abs(tx[1])):
         while p < abs(x):
             power, p = exact.mat_mul(power, base), p + 1
@@ -160,8 +148,8 @@ def _refutations(kind, a, n):
     module docstring) fails on n x n windows, in the order it checks them."""
     def differing(label, c, got):
         # c^0 .. c^max(e_ij) once; a negative e_ij, out of the table, is a hypothesis failure
-        powers = [c ** e for e in range(max(exps, default=0) + 1)]
-        for ij, (cij, eij, v) in enumerate(zip(coef, exps, got.entries)):
+        powers = [c ** e for e in range(max(e0, default=0) - min(e0, default=0) + 1)]
+        for ij, (cij, eij, v) in enumerate(zip(coef, exps(), got.entries)):
             if v != (want := cij and cij * (powers[eij] if eij >= 0 else c ** eij)):
                 yield f"{label}, entry ({ij // n},{ij % n})", want, v
 
@@ -169,8 +157,8 @@ def _refutations(kind, a, n):
     k = (n * max(coef, default=0) ** 2).bit_length() or 1
     x, wx = 1 << k, families.window_of(families.Family(kind, 1 << k), n)
     e0 = [max(v.bit_length() - 1, 0) // k for v in wx.entries[:n]]  # e_0j, off row 0
-    exps = [f - g for g in e0 for f in e0]
-    if any(cij < 0 or cij and (eij < 0 or cij << eij >= x) for cij, eij in zip(coef, exps)):
+    exps = lambda: (f - g for g in e0 for f in e0)  # e_ij, made again per use: not n^2 ints kept
+    if any(cij < 0 or cij and (eij < 0 or cij << eij >= x) for cij, eij in zip(coef, exps())):
         yield f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside"
     yield from differing(f"a={x}", x, wx)
     product, wx = exact.mat_mul(wx, one), None  # W(F(x)) is freed
@@ -237,17 +225,14 @@ def _hankel_h2(report, n_max):
     """The H2 minors, plus the anti-triangular structure of its 2^k - 1
     windows, k <= _ANTI_K_MAX: ones on the anti-diagonal, zeros below it."""
     _gram(families.H2, "H2", lambda n: (-1) ** (n * (n - 1) // 2) * math.prod(
-        map(_PF, range(n))), report, n_max)
+        map(sequences.SEQUENCES["paperfolding"], range(n))), report, n_max)
     gen = families.entry_fn(families.H2)
-    for k in range(1, _ANTI_K_MAX + 1):
-        n = 2 ** k - 1
+    for n in (2 ** k - 1 for k in range(1, _ANTI_K_MAX + 1)):
         report.checked += 1
-        bad = next(((i, j) for i in range(n) for j in range(n - 1 - i, n)
-                    if gen(i, j) != (i + j == n - 1)), None)
-        if bad:
-            i, j = bad
-            report.fail(f"anti-triangular n={n}, entry ({i},{j})",
-                        int(i + j == n - 1), gen(i, j))
+        if bad := next(((i, j) for i in range(n) for j in range(n - 1 - i, n)
+                        if gen(i, j) != (i + j == n - 1)), None):
+            report.fail(f"anti-triangular n={n}, entry ({bad[0]},{bad[1]})",
+                        int(sum(bad) == n - 1), gen(*bad))
 
 
 @dataclass(frozen=True)
@@ -264,18 +249,6 @@ class Identity:
 
 _A_DEFAULT = tuple(range(-5, 6))
 _ANTI_K_MAX = 6
-_PF = sequences.SEQUENCES["paperfolding"]
-
-# target kind -> its Gram factor (_gram).  L is unit lower triangular, so the leading
-# n x n block of L D L^T is L_n D_n L_n^T and its minor of order n is D_0...D_(n-1), for
-# every n.  H1 and H2 are J-fraction Hankel matrices (Flajolet, Discrete Math. 32 (1980);
-# Viennot, UQAM 1983); pf(k)^2 = 1 makes H2's D_k = (-1)^k pf(k), pf the paperfolding terms
-_GRAM = {
-    "P2": functools.partial(_transposed, families.P1(1), lambda i: 0),
-    "M2": functools.partial(_transposed, families.M1(1), sequences.thue_morse),
-    "H1": functools.partial(_stieltjes, lambda k: -1),
-    "H2": functools.partial(_stieltjes, lambda k: -_PF(k - 1) * _PF(k)),
-}
 
 IDENTITIES = {
     "item1": Identity(
@@ -312,11 +285,11 @@ IDENTITIES = {
         _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
         lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {_nonzero(a)}",
         "Sign is recorded as data; only |det| is predicted."),
-    # H1's minor of order n is (-1)^floor(n/2) = (-1)^(n(n-1)/2), as D_k = (-1)^k (_GRAM)
+    # H1's minor of order n is (-1)^floor(n/2) = (-1)^(n(n-1)/2), D_k being (-1)^k (families.GRAM)
     "hankel-h1": Identity(
         functools.partial(_gram, families.H1, "H1", lambda n: (-1) ** (n // 2)),
         {"n_max": 40}, "n <= {n_max}".format),
-    # H2's minor of order n is (-1)^(n(n-1)/2) pf(0)...pf(n-1), as D_k = (-1)^k pf(k) (_GRAM)
+    # H2's minor of order n is (-1)^(n(n-1)/2) pf(0)...pf(n-1), D_k being (-1)^k pf(k)
     "hankel-h2": Identity(
         _hankel_h2, {"n_max": 40},
         lambda n_max: f"n <= {n_max}, anti-triangular k <= {_ANTI_K_MAX}"),

@@ -345,28 +345,28 @@ def test_gram_factors_closed_forms():
     n = 64
     pf = sequences.SEQUENCES["paperfolding"]
     # item 1 and Lemma 1: L = P1^T, D = 1 and L = M1^T, D_i = (-1)^t_i
-    assert verify._GRAM["P2"](n) == (transpose(families.window_of(families.P1(1), n)), [1] * n)
-    assert verify._GRAM["M2"](n) == (transpose(families.window_of(families.M1(1), n)),
+    assert families.GRAM["P2"](n) == (transpose(families.window_of(families.P1(1), n)), [1] * n)
+    assert families.GRAM["M2"](n) == (transpose(families.window_of(families.M1(1), n)),
                                      [(-1) ** sequences.thue_morse(i) for i in range(n)])
-    h1, d1 = verify._GRAM["H1"](n)
+    h1, d1 = families.GRAM["H1"](n)
     assert h1 == exact.window(ballot, n)
     assert d1 == [(-1) ** k for k in range(n)]
     # the mod-2 member's triangle is the pure one's mod 2
-    h2, d2 = verify._GRAM["H2"](n)
+    h2, d2 = families.GRAM["H2"](n)
     assert set(h2.entries) <= {0, 1, -1}
     assert [x % 2 for x in h2.entries] == [x % 2 for x in h1.entries]
     assert d2 == [(-1) ** k * pf(k) for k in range(n)]
-    assert verify._GRAM["H1"](0) == (exact.window(ballot, 0), [])
+    assert families.GRAM["H1"](0) == (exact.window(ballot, 0), [])
 
 
 @pytest.mark.parametrize("kind", ["H1", "H2"])
 def test_stieltjes_factors_are_the_ldu_of_the_hankel_windows(kind):
     # the LDU factors are unique, so every n <= 64 is the leading block of n = 64
     factors = exact.ldu_decompose(families.window_of(families.Family(kind), 64))
-    lower, d = verify._GRAM[kind](64)
+    lower, d = families.GRAM[kind](64)
     assert (factors.L, list(factors.D), factors.U) == (lower, d, transpose(lower))
     for n in (1, 2, 5, 17):
-        assert verify._GRAM[kind](n) == (exact.window(lower.get, n), d[:n])
+        assert families.GRAM[kind](n) == (exact.window(lower.get, n), d[:n])
 
 
 @pytest.mark.parametrize("series, kind", [("L1", "H1"), ("L2", "H2")])
@@ -375,7 +375,7 @@ def test_stieltjes_factors_match_the_j_fraction(series, kind):
     # D_k/D_(k-1) = -1/(alpha_k alpha_(k+1)) and linear terms -b_k/alpha_k, here 0
     quotients = laurent.cf_expand(laurent.build_L(series, 80), 40).partial_quotients
     alpha = [q.coeffs[1] for q in quotients]
-    _, d = verify._GRAM[kind](len(alpha))
+    _, d = families.GRAM[kind](len(alpha))
     assert [q.coeffs[0] for q in quotients] == [0] * 40
     assert d[0] == 1 / alpha[0]
     assert [Fraction(d[k], d[k - 1]) for k in range(1, 40)] == \
@@ -393,7 +393,7 @@ def test_gram_proves_the_minors_by_one_product(identity_id, monkeypatch):
 
 def test_gram_with_a_d_against_expected_falls_back(monkeypatch):
     # H1 is L D L^T, but D's prefix products are not the expected minors 1, 1, ...:
-    # the Bareiss pass reports what it reports without the product
+    # the product is not taken, and the Bareiss pass reports what it reports alone
     products = _calls(monkeypatch, "mat_mul")
     minors = _calls(monkeypatch, "leading_principal_minors")
     report = verify.VerificationReport("demo", "")
@@ -404,20 +404,35 @@ def test_gram_with_a_d_against_expected_falls_back(monkeypatch):
         _failure(f"H1, n={n}", 1, -1) for n in (2, 3, 6)]
     assert (report.checked, report.data) == (oracle.checked, {"signs": signs["H1"]}) == \
         (6, {"signs": [1, -1, -1, 1, 1, -1]})
-    assert (len(products), len(minors)) == (1, 2)
+    assert (len(products), len(minors)) == (0, 2)
 
 
 def test_gram_without_a_unit_diagonal_falls_back(monkeypatch):
     # L diag(s) D diag(s) L^T == L D L^T for signs s, so the product still holds
     # with columns of L negated, but L is no longer unit: the Bareiss pass runs
-    lower, d = verify._GRAM["H1"](8)
+    lower, d = families.GRAM["H1"](8)
     negated = exact.window(lambda i, j: (-1) ** j * lower.get(i, j), 8)
-    monkeypatch.setitem(verify._GRAM, "H1", lambda n: (negated, d))
+    monkeypatch.setitem(families.GRAM, "H1", lambda n: (negated, d))
     minors = _calls(monkeypatch, "leading_principal_minors")
     report = verify.run_check("hankel-h1", n_max=8)
     assert report.passed
     assert report.data == {"signs": [1 if (n // 2) % 2 == 0 else -1 for n in range(1, 9)]}
     assert len(minors) == 1
+
+
+@pytest.mark.parametrize("shift, sign", [(1, 1), (0, -1)])
+def test_gram_packing_leaves_no_carry(shift, sign, monkeypatch):
+    # sign y added at (0,0) and sign taken at (0,1) leave H1's row 0 packed at x = y as it was.
+    # b the bit length of the bound on L D L^T, y = 2^(b+1) is x sized by that bound alone and
+    # y = 2^b is x not doubled, every corrupted entry below it; the proof fails, Bareiss reports
+    lower, d = families.GRAM["H1"](4)
+    y = 1 << (4 * max(map(abs, lower.entries)) ** 2 * max(map(abs, d))).bit_length() + shift
+    _corrupt(monkeypatch, "H1", 0, 0, 0, sign * y)
+    _corrupt(monkeypatch, "H1", 0, 0, 1, -sign)
+    report = verify.run_check("hankel-h1", n_max=4)
+    oracle = verify.VerificationReport("hankel-h1", "")
+    verify._minors([("H1", families.H1, 0, lambda n: (-1) ** (n // 2))], oracle, 4)
+    assert report.failures == oracle.failures != []
 
 
 def test_power_table_leaves_negative_exponents_to_pow(monkeypatch):
