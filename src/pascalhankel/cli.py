@@ -6,6 +6,7 @@ errors, 3 on internal errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -73,6 +74,7 @@ def _point_set(lines) -> net.PointSet:
     return net.PointSet(s, tuple(pts))
 
 
+@functools.cache  # parse_args keeps no state in the parser: one tree per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pascalhankel",
@@ -218,8 +220,7 @@ def _cmd_net(args, out) -> int:
         if args.n > args.p ** args.m:
             raise argparse.ArgumentTypeError(
                 f"cannot place {args.n} points at depth {args.m} in base {args.p}")
-        ps = net.digital_points(net.GeneratingSet(args.p, args.dims[1]), args.n, args.m)
-        for pt in ps.points:
+        for pt in net.points(net.GeneratingSet(args.p, args.dims[1]), args.n, args.m):
             print(",".join(f"{x.numerator}/{x.denominator}" for x in pt), file=out)
     elif args.action == "discrepancy":
         with open(args.input) as fh:

@@ -133,15 +133,33 @@ def _bareiss(m: list, pivot: bool):
     return m, sign
 
 
+def _hankel_det(m: list):
+    """det of the square int rows m = (s[i+j]) by Lunnon's number wall (J. Integer Seq.
+    4 (2001)) in O(n^2) steps, or None if m is not Hankel or a divisor is 0.  Wall row -1
+    is ones, row 0 is s, row k spans x = k..2n-2-k by the cross rule
+    W[k+1][x] W[k-1][x] = W[k][x]^2 - W[k][x-1] W[k][x+1]; det m = (-1)^(n(n-1)/2) W[n-1][n-1]."""
+    n = len(m)
+    s = m[0] + [r[-1] for r in m[1:]]
+    if any(r != s[i:i + n] for i, r in enumerate(m)):
+        return None
+    v, w = [1] * (2 * n + 1), s  # wall rows k-1 and k, from x = k-1 and x = k
+    for _ in range(n - 1):
+        if 0 in v[2:-2]:
+            return None
+        v, w = w, [(b * b - a * c) // d for a, b, c, d in zip(w, w[1:], w[2:], v[2:])]
+    return -w[0] if n * (n - 1) // 2 % 2 else w[0]
+
+
 def determinant(a: ExactMatrix):
     """Exact determinant, block by block.
 
     Rows and columns are split into the connected components of the
     bipartite graph that joins row i to column j wherever a[i][j] != 0.
     Listing the rows, and the columns, component by component makes the
-    matrix block diagonal, so the determinant is the sign of the two
-    orders times the product of the blocks' pivoting Bareiss determinants.
-    A component with unequal numbers of rows and columns makes it 0.
+    matrix block diagonal, so the determinant is the sign of the two orders
+    times the product of the blocks' determinants: by the number wall for a
+    Hankel block, else by pivoting Bareiss.  A component with unequal
+    numbers of rows and columns makes it 0.
     """
     _square_of_ints(a)
     n, e = a.rows, a.entries
@@ -166,11 +184,15 @@ def determinant(a: ExactMatrix):
         return 0
     value = 1
     for rows, cols in blocks:
-        try:
-            m, sign = _bareiss([[e[i * n + j] for j in cols] for i in rows], pivot=True)
-        except SingularMinorError:
-            return 0
-        value *= sign * m[-1][-1]
+        block = [[e[i * n + j] for j in cols] for i in rows]
+        det = _hankel_det(block)
+        if det is None:
+            try:
+                m, sign = _bareiss(block, pivot=True)
+            except SingularMinorError:
+                return 0
+            det = sign * m[-1][-1]
+        value *= det
     order = [[i for rows, _ in blocks for i in rows], [j for _, cols in blocks for j in cols]]
     inversions = sum(p > q for perm in order for s, p in enumerate(perm) for q in perm[s + 1:])
     return -value if inversions % 2 else value

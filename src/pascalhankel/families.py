@@ -1,5 +1,6 @@
 """Entry generators for the Pascal and Catalan-Hankel matrix families; Gram factors."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,10 +104,12 @@ def _transposed(fam, t, n):
 def _stieltjes(gamma, n):
     """Gram factor of the Hankel matrix of Dyck paths, gamma(h) per step down from height h:
     L[0][0] = 1, L[r+1][k] = L[r][k-1] + gamma(k+1) L[r][k+1]; D_k = gamma(1)...gamma(k)."""
-    g, rows = [gamma(k) for k in range(1, n + 1)], [[1] + [0] * (n - 1)]
-    while len(rows) < n:
-        rows.append([x + y * z for x, y, z in zip([0, *rows[-1]], g, [*rows[-1][1:], 0])])
-    return exact.ExactMatrix.from_rows(rows[:n]), [math.prod(g[:k]) for k in range(n)]
+    g = [gamma(k) for k in range(1, n + 1)]
+    rows = itertools.accumulate(
+        range(n), lambda r, _: [x + y * z for x, y, z in zip([0, *r], g, [*r[1:], 0])],
+        initial=[1] + [0] * (n - 1))
+    entries = tuple(itertools.chain.from_iterable(itertools.islice(rows, n)))
+    return exact.ExactMatrix(n, n, entries), [math.prod(g[:k]) for k in range(n)]
 
 
 _PF = sequences.SEQUENCES["paperfolding"]

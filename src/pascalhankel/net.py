@@ -134,10 +134,11 @@ def _t_values(p: int, windows: list, m_max: int) -> list:
     return out
 
 
-def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
-    """First n_points points of the digital sequence at depth m: coordinate
-    i of point n is 0.y_1 ... y_m in base p, y = C_i . digits(n) mod p for
-    the m x m window C_i and the digits of n, least significant first.
+def points(gs: GeneratingSet, n_points: int, m: int):
+    """Yield the first n_points points of the digital sequence at depth m:
+    coordinate i of point n is 0.y_1 ... y_m in base p, y = C_i . digits(n)
+    mod p for the m x m window C_i and the digits of n, least significant
+    first.
 
     Going from n to n+1 raises digit k by one and wraps every digit below
     it from p-1 to 0, which adds (1-p) col_j = col_j mod p; so y gains the
@@ -159,7 +160,6 @@ def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
         carry_sums.append(sums)
     digits = [0] * m
     ys = [[0] * m for _ in windows]
-    pts = []
     for n in range(n_points):
         if n:
             k = 0
@@ -169,8 +169,12 @@ def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
             digits[k] += 1
             ys = [[(a + b) % p for a, b in zip(y, sums[k])]
                   for y, sums in zip(ys, carry_sums)]
-        pts.append(tuple(Fraction(sum(map(mul, y, weights)), denom) for y in ys))
-    return PointSet(len(windows), tuple(pts))
+        yield tuple(Fraction(sum(map(mul, y, weights)), denom) for y in ys)
+
+
+def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
+    """The first n_points points of the digital sequence at depth m."""
+    return PointSet(len(gs.generators), tuple(points(gs, n_points, m)))
 
 
 def star_discrepancy(ps: PointSet) -> Fraction:

@@ -37,6 +37,46 @@ def test_matrix_det():
     assert run("matrix det --family H1 --n 41 --k 401".split()) == (0, "0\n")
 
 
+def test_matrix_det_takes_the_number_wall_for_hankel_blocks(monkeypatch):
+    from pascalhankel import exact
+
+    calls = []
+    bareiss = exact._bareiss
+    monkeypatch.setattr(exact, "_bareiss",
+                        lambda *args, **kw: calls.append(1) or bareiss(*args, **kw))
+    # both parity blocks of an H1 window are Catalan Hankel blocks with zero-free walls
+    code, out = run("matrix det --family H1 --n 40 --k 400".split())
+    assert code == 0 and int(out) != 0 and calls == []
+    # H2's 7 x 7 wall meets a zero divisor: the pivoting Bareiss value
+    code, out = run("matrix det --family H2 --n 7".split())
+    m, sign = bareiss(families.window_of(families.H2, 7).to_rows(), pivot=True)
+    assert code == 0 and calls and int(out) == sign * m[-1][-1]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # a usage error, help and three verbs: the cached parser answers each as a fresh one does
+    cmds = ["matrix det --family M2", "--help", "verify item1 --n-max 8",
+            "net t-value --p 3 --dims M1:a=0,M1:a=1 --m-max 3",
+            "matrix det --family H1 --n 12 --k 5"]
+
+    def runs():
+        got = []
+        for cmd in cmds:
+            code, out = run(cmd.split())
+            std = capsys.readouterr()
+            # verify prints its elapsed time
+            got.append((code, re.sub(r", [0-9.]+s\]", "]", out + std.out), std.err))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = runs()
+    cli._build_parser.cache_clear()
+    assert runs() == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_matrix_show_csv_and_json():
     code, out = run(["matrix", "show", "--family", "P1:a=1", "--n", "2",
                      "--m", "2", "--k", "1"])

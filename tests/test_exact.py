@@ -197,6 +197,34 @@ def test_bareiss_matches_cofactor_oracle():
         assert exact.determinant(a) == cofactor_determinant(a.to_rows())
 
 
+def test_hankel_det_by_number_wall_matches_cofactor_oracle():
+    # zero-rich sequences, so that some walls meet a zero divisor and give None
+    rng = random.Random(2701)
+    taken = {"wall": 0, "fallback": 0}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        s = [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(2 * n - 1)]
+        rows = [s[i:i + n] for i in range(n)]
+        det = exact._hankel_det([r[:] for r in rows])
+        if det is None:
+            taken["fallback"] += 1
+        else:
+            taken["wall"] += 1
+            assert det == cofactor_determinant(rows), s
+        assert exact.determinant(ExactMatrix.from_rows(rows)) == cofactor_determinant(rows), s
+    assert taken["wall"] and taken["fallback"], taken
+    # not Hankel: rows 0 and 1 swapped
+    assert exact._hankel_det([[2, 3], [1, 2]]) is None
+
+
+def test_hankel_block_whose_wall_meets_a_zero():
+    # s = 0, 1, 0, 1, 1: one connected block, W[1] needs no zero divisor,
+    # W[2] divides by W[0][2] = s[2] = 0; the determinant is still -1
+    rows = [[0, 1, 0], [1, 0, 1], [0, 1, 1]]
+    assert exact._hankel_det(rows) is None
+    assert exact.determinant(ExactMatrix.from_rows(rows)) == cofactor_determinant(rows) == -1
+
+
 def test_determinant_multiplicative():
     rng = random.Random(7)
     for _ in range(50):

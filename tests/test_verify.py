@@ -3,6 +3,7 @@ the full ones)."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import inspect
 import io
@@ -307,11 +308,15 @@ def test_j_fraction_minors_of_random_normal_series():
 def catalan_hankel(n, k):
     """det(C_{k+i+j})_{0<=i,j<n} = prod_{1<=i<=j<=k-1} (i+j+2n)/(i+j)
     (Desainte-Catherine and Viennot, LNM 1234, 1986)."""
-    num = den = 1
+    # each factor's multiplicity, cancelled between numerator and
+    # denominator before multiplying out (at k = 1000 they share ~10^6 bits)
+    mult = collections.Counter()
     for j in range(1, k):
         for i in range(1, j + 1):
-            num *= i + j + 2 * n
-            den *= i + j
+            mult[i + j + 2 * n] += 1
+            mult[i + j] -= 1
+    num = math.prod(t ** e for t, e in mult.items() if e > 0)
+    den = math.prod(t ** -e for t, e in mult.items() if e < 0)
     assert num % den == 0
     return num // den
 
@@ -327,9 +332,15 @@ def h1_window_det_abs(n, k):
 
 
 def test_h1_window_determinant_closed_form():
-    for n, k in [(n, k) for n in range(13) for k in range(14)] + [(40, 400)]:
+    for n, k in [(n, k) for n in range(13) for k in range(14)] + [(40, 400), (60, 1000),
+                                                                  (80, 400)]:
         det = exact.determinant(families.window_of(families.H1, n, None, k))
         assert abs(det) == h1_window_det_abs(n, k), (n, k)
+    # signed: swapping rows 0 and 1 swaps the parity classes' rows and negates det
+    w = families.window_of(families.H1, 40, None, 400)
+    rows = w.to_rows()
+    rows[0], rows[1] = rows[1], rows[0]
+    assert exact.determinant(exact.ExactMatrix.from_rows(rows)) == -exact.determinant(w) != 0
 
 
 def ballot(i, k):
