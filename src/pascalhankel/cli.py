@@ -229,6 +229,8 @@ def _cmd_net(args, out) -> int:
     elif args.action == "search":
         results = net.search_third_matrix(args.p, args.m_max, args.candidates,
                                           args.budget, seed=args.seed)
+        if not results:  # the m1 walk, a = 2 .. p - 1, is empty at p = 2
+            raise argparse.ArgumentTypeError(f"no {args.candidates} candidate at --p {args.p}")
         if args.json:
             print(json.dumps(results), file=out)
         else:

@@ -4,6 +4,7 @@ Windows of infinite matrices, products, fraction-free determinants, LDU
 factorisation, and rank over F_p.  No floating point anywhere.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -65,22 +66,25 @@ def window(gen, n: int, m: int | None = None, k: int = 0) -> ExactMatrix:
                                    for i in range(n) for j in range(m)))
 
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+def product_rows(a: ExactMatrix, b: ExactMatrix):
+    """The rows of a b, one list at a time, so the product is never held whole."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    # each row of b as its nonzero (column, entry) pairs, so the work is
-    # one multiply-add per nonzero triple a[i][l] * b[l][j]
-    w = b.cols
-    bnz = [[(j, v) for j, v in enumerate(row) if v] for row in b.to_rows()]
-    out = []
+    # each row of b as its nonzero columns and their entries: one multiply-add per nonzero triple
+    w, e = b.cols, b.entries
+    bnz = [(tuple(itertools.compress(range(w), r)), tuple(filter(None, r)))
+           for r in (e[l * w:(l + 1) * w] for l in range(b.rows))]
     for i in range(a.rows):
         acc = [0] * w
-        for x, br in zip(a.entries[i * a.cols:(i + 1) * a.cols], bnz):
+        for x, (js, vs) in zip(a.entries[i * a.cols:(i + 1) * a.cols], bnz):
             if x:
-                for j, v in br:
+                for j, v in zip(js, vs):
                     acc[j] += x * v
-        out.extend(acc)
-    return ExactMatrix(a.rows, w, tuple(out))
+        yield acc
+
+
+def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.rows, b.cols, tuple(itertools.chain.from_iterable(product_rows(a, b))))
 
 
 def _ints(a: ExactMatrix) -> None:

@@ -72,20 +72,20 @@ class VerificationReport:
 
 
 def _products(checks, report, n_max):
-    """left right == target() for each (label, left, right, target) of n_max x n_max
-    windows, target() built after the product.  Equality of the full product settles
-    every upper-left block at once: block n holds (i, j) exactly when max(i, j) < n, so
-    the differing entry least in (max(i, j), i, j) is reported, in the smallest failing n."""
+    """left right == target for each (label, left, right, target), target an entry function,
+    each row of the n_max x n_max product compared as it is formed.  That settles every
+    upper-left block at once: block n holds (i, j) exactly when max(i, j) < n, so the differing
+    entry least in (max(i, j), i, j) is reported.  Returns report.passed."""
     for label, left, right, target in checks:
         report.checked += n_max
-        product = exact.mat_mul(left, right)
-        if product != (target := target()):
-            i, j = min(((i, j) for i in range(n_max) for j in range(n_max)
-                        if product.get(i, j) != target.get(i, j)),
-                       key=lambda ij: (max(ij), ij))
-            report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})",
-                        target.get(i, j), product.get(i, j))
-        del product  # freed before the next mat_mul: one product alive at a time
+        first = min((min((max(i, j), i, j, want[j], row[j]) for j in range(n_max)
+                         if want[j] != row[j])
+                     for i, row in enumerate(exact.product_rows(left, right))
+                     if row != (want := [target(i, j) for j in range(n_max)])), default=None)
+        if first:
+            _, i, j, want, got = first
+            report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})", want, got)
+    return report.passed
 
 
 def _nonzero(a) -> tuple:
@@ -99,26 +99,20 @@ def _a_text(a) -> str:
 
 
 def _gram(target, label, expected, report, n_max):
-    """L diag(D) L^T == A, target's window, (L, D) = families.GRAM[target.kind](n_max), as
-    L u == a, u_l = D_l sum_j L_jl x^j, a_i = sum_j A_ij x^j, x = 2^k > 2 |each entry of L D L^T
-    and A| (Kronecker substitution).  Given expected, unit lower triangular L proves the minors
-    D_0...D_(n-1) == expected(n), signs kept as data; mismatches go to _products or _minors."""
-    (lower, d), gen = families.GRAM[target.kind](n_max), families.entry_fn(target)
+    """L diag(D) L^T == A, target's window, (L, D) = families.GRAM[target.kind](n_max), by one
+    product of L with D L^T.  Given expected, unit lower triangular L proves the minors
+    D_0...D_(n-1) == expected(n), signs kept as data; else _minors reports them."""
+    lower, d = families.GRAM[target.kind](n_max)
     e, minors = lower.entries, list(itertools.accumulate(d, operator.mul))
-    rows = [[gen(i, j) for j in range(n_max)] for i in range(n_max)]
-    k = max(n_max * max(map(abs, e), default=0) ** 2 * max(map(abs, d), default=0),
-            max(map(abs, itertools.chain(*rows)), default=0)).bit_length() + 1
-    ua = (exact.ExactMatrix(n_max, 1, tuple(sum(v << k * j for j, v in enumerate(r)) for r in m))
-          for m in (([x * v for v in e[l::n_max]] for l, x in enumerate(d)), rows))
-    if (all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
-            and (expected is None or minors == [expected(n) for n in range(1, n_max + 1)])
-            and exact.mat_mul(lower, next(ua)) == next(ua)):
+    checks = [(label, lower, exact.ExactMatrix(n_max, n_max, tuple(
+        x * v for l, x in enumerate(d) for v in e[l::n_max])), families.entry_fn(target))]
+    if expected is None:
+        _products(checks, report, n_max)
+    elif (all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
+            and minors == [expected(n) for n in range(1, n_max + 1)]
+            and _products(checks, VerificationReport(label, ""), n_max)):
         report.checked += n_max
-        if expected is not None:
-            report.data["signs"] = [1 if m > 0 else -1 for m in minors]
-    elif expected is None:
-        _products([(label, lower, exact.window(lambda i, j: d[i] * e[j * n_max + i], n_max),
-                    functools.partial(families.window_of, target, n_max))], report, n_max)
+        report.data["signs"] = [1 if m > 0 else -1 for m in minors]
     elif label in (signs := _minors([(label, target, 0, expected)], report, n_max)):
         report.data["signs"] = signs[label]
 
@@ -138,7 +132,7 @@ def _item2(report, a, n_max):
         while p < abs(x):
             power, p = exact.mat_mul(power, base), p + 1
         found[t] = VerificationReport("item2", "")
-        _products([(f"a={x}", w(min(x, 0)), power, lambda: w(max(x, 0)))], found[t], n_max)
+        _products([(f"a={x}", w(min(x, 0)), power, w(max(x, 0)).get)], found[t], n_max)
     report.checked += n_max * len(found)
     report.failures += [f for t in sorted(found) for f in found[t].failures]
 
@@ -149,7 +143,8 @@ def _refutations(kind, a, n):
     def differing(label, c, got):
         # c^0 .. c^max(e_ij) once; a negative e_ij, out of the table, is a hypothesis failure
         powers = [c ** e for e in range(max(e0, default=0) - min(e0, default=0) + 1)]
-        for ij, (cij, eij, v) in enumerate(zip(coef, exps(), got.entries)):
+        # got first, so that a stream of product rows runs out and frees its factors
+        for ij, (v, cij, eij) in enumerate(zip(got, coef, exps())):
             if v != (want := cij and cij * (powers[eij] if eij >= 0 else c ** eij)):
                 yield f"{label}, entry ({ij // n},{ij % n})", want, v
 
@@ -160,11 +155,11 @@ def _refutations(kind, a, n):
     exps = lambda: (f - g for g in e0 for f in e0)  # e_ij, made again per use: not n^2 ints kept
     if any(cij < 0 or cij and (eij < 0 or cij << eij >= x) for cij, eij in zip(coef, exps())):
         yield f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside"
-    yield from differing(f"a={x}", x, wx)
-    product, wx = exact.mat_mul(wx, one), None  # W(F(x)) is freed
-    yield from differing(f"a={x}, b=1", x + 1, product)
+    yield from differing(f"a={x}", x, wx.entries)
+    rows, wx = exact.product_rows(wx, one), None  # W(F(x)) is freed once its rows are read
+    yield from differing(f"a={x}, b=1", x + 1, itertools.chain.from_iterable(rows))
     for c in dict.fromkeys([x + 1, *a, *(p + q for p, q in itertools.product(a, a))]):
-        yield from differing(f"a={c}", c, families.window_of(families.Family(kind, c), n))
+        yield from differing(f"a={c}", c, families.window_of(families.Family(kind, c), n).entries)
 
 
 def _group_law(kind, report, a, n_max):
@@ -175,9 +170,8 @@ def _group_law(kind, report, a, n_max):
         report.checked += len(a) ** 2 * n_max
         return
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    _products(((f"a={x}, b={y}", w(x), w(y), functools.partial(w, x + y))
-               for x, y in itertools.product(a, a)), report, n_max)
-    if report.passed:
+    if _products(((f"a={x}, b={y}", w(x), w(y), w(x + y).get)
+                  for x, y in itertools.product(a, a)), report, n_max):
         report.fail(*refuted)
 
 

@@ -330,6 +330,7 @@ def test_verify_usage_error_exit_code(argv, capsys):
     "seq catalan --count 0",
     "net search --budget -1",
     "net search --budget 0",
+    "net search --p 2 --budget 1",         # the m1 walk a = 2 .. p - 1 is empty
     "matrix det --family M2 --n x",
     "matrix det --family P2 --n 2 --m 3",   # det and LDU take no --m
     "matrix det --family P2 --n 3 --m 3",

@@ -98,6 +98,10 @@ def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         exact.mat_mul(exact.window(lambda i, j: int(i == j), 2),
                       exact.window(lambda i, j: int(i == j), 3))
+    rows = exact.product_rows(exact.window(lambda i, j: int(i == j), 2),
+                              exact.window(lambda i, j: int(i == j), 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        next(rows)
 
 
 class CountingInt(int):
@@ -130,6 +134,10 @@ def test_mat_mul_multiplies_once_per_nonzero_triple(family, sizes, count):
         CountingInt.calls = 0
         exact.mat_mul(a, a)
         assert CountingInt.calls == nonzero_triples(a, a) == count(n)
+        CountingInt.calls = 0
+        for _ in exact.product_rows(a, a):
+            pass
+        assert CountingInt.calls == count(n)
 
 
 def test_determinant_examples():

@@ -103,5 +103,6 @@ def test_mat_mul_matches_triple_sum(pair):
                  for i in range(a.rows) for j in range(b.cols))
     product = exact.mat_mul(a, b)
     assert (product.rows, product.cols, product.entries) == (a.rows, b.cols, want)
+    assert list(exact.product_rows(a, b)) == product.to_rows()
     if not any(isinstance(x, Fraction) for x in a.entries + b.entries):
         assert all(type(x) is int for x in product.entries)

@@ -24,7 +24,8 @@ def transpose(a):
 
 
 def _calls(monkeypatch, name):
-    """The argument tuples of each call of exact.<name> from here on."""
+    """The argument tuples of each call of exact.<name> from here on.  Calls of
+    product_rows count mat_mul's calls too, mat_mul collecting its rows."""
     calls, fn = [], getattr(exact, name)
     monkeypatch.setattr(exact, name, lambda *args: calls.append(args) or fn(*args))
     return calls
@@ -57,7 +58,7 @@ def test_item2_smallest_cases():
 
 def test_item2_powers_are_one_running_product(monkeypatch):
     # P1^2 .. P1^max|a| take one product each, and each nonzero a one more
-    calls = _calls(monkeypatch, "mat_mul")
+    calls = _calls(monkeypatch, "product_rows")
     a = verify.IDENTITIES["item2"].grid["a"]
     assert verify.run_check("item2").passed
     assert len(calls) == max(map(abs, a)) - 1 + len([x for x in a if x]) == 14
@@ -66,7 +67,7 @@ def test_item2_powers_are_one_running_product(monkeypatch):
 @pytest.mark.parametrize("identity_id", ["group-law-p1", "group-law-m1"])
 def test_group_law_is_proved_by_one_product(identity_id, monkeypatch):
     # W(F(x)) W(F(1)) == W(F(x+1)) proves the law; the 121 pair products never run
-    calls = _calls(monkeypatch, "mat_mul")
+    calls = _calls(monkeypatch, "product_rows")
     report = verify.run_check(identity_id)
     assert report.passed
     assert report.checked == 121 * 64
@@ -78,7 +79,7 @@ def _pair_loop(kind, a, n_max):
     each window built once, as verify falls back to."""
     report = verify.VerificationReport("pair loop", "")
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    verify._products(((f"a={x}, b={y}", w(x), w(y), functools.partial(w, x + y))
+    verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y).get)
                       for x, y in itertools.product(a, a)), report, n_max)
     return report
 
@@ -141,6 +142,24 @@ def test_group_law_proof_peaks_below_the_pair_loop():
     finally:
         tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+def test_group_law_proof_streams_its_product():
+    # the proof reads W(F(x)) W(F(1)) row by row and frees W(F(x)) once they are read,
+    # so it never holds both whole
+    n = verify.IDENTITIES["group-law-p1"].grid["n_max"]
+    one = families.window_of(families.P1(1), n)
+    x = 1 << (n * max(one.entries) ** 2).bit_length()
+    wx = families.window_of(families.P1(x), n)
+    both = _window_bytes(wx) + _window_bytes(exact.mat_mul(wx, one))
+    del wx
+    tracemalloc.start()
+    try:
+        assert verify.run_check("group-law-p1").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < both
 
 
 def test_group_law_m1_small():
@@ -395,7 +414,7 @@ def test_stieltjes_factors_match_the_j_fraction(series, kind):
 
 @pytest.mark.parametrize("identity_id", ["det-m2", "hankel-h1", "hankel-h2"])
 def test_gram_proves_the_minors_by_one_product(identity_id, monkeypatch):
-    products = _calls(monkeypatch, "mat_mul")
+    products = _calls(monkeypatch, "product_rows")
     minors = _calls(monkeypatch, "leading_principal_minors")
     report = verify.run_check(identity_id)
     assert report.passed
@@ -405,7 +424,7 @@ def test_gram_proves_the_minors_by_one_product(identity_id, monkeypatch):
 def test_gram_with_a_d_against_expected_falls_back(monkeypatch):
     # H1 is L D L^T, but D's prefix products are not the expected minors 1, 1, ...:
     # the product is not taken, and the Bareiss pass reports what it reports alone
-    products = _calls(monkeypatch, "mat_mul")
+    products = _calls(monkeypatch, "product_rows")
     minors = _calls(monkeypatch, "leading_principal_minors")
     report = verify.VerificationReport("demo", "")
     verify._gram(families.H1, "H1", lambda n: 1, report, 6)
@@ -433,9 +452,10 @@ def test_gram_without_a_unit_diagonal_falls_back(monkeypatch):
 
 @pytest.mark.parametrize("shift, sign", [(1, 1), (0, -1)])
 def test_gram_packing_leaves_no_carry(shift, sign, monkeypatch):
-    # sign y added at (0,0) and sign taken at (0,1) leave H1's row 0 packed at x = y as it was.
-    # b the bit length of the bound on L D L^T, y = 2^(b+1) is x sized by that bound alone and
-    # y = 2^b is x not doubled, every corrupted entry below it; the proof fails, Bareiss reports
+    # sign y added at (0,0) and sign taken at (0,1) leave H1's row 0 packed at x = y as it was,
+    # b the bit length of the bound on L D L^T, y = 2^(b+1) or 2^b, every corrupted entry below
+    # it: the entrywise product check fails and Bareiss reports, where a Kronecker-packed
+    # comparison of rows at such an x would let the corruption through
     lower, d = families.GRAM["H1"](4)
     y = 1 << (4 * max(map(abs, lower.entries)) ** 2 * max(map(abs, d))).bit_length() + shift
     _corrupt(monkeypatch, "H1", 0, 0, 0, sign * y)
@@ -664,10 +684,12 @@ def test_products_names_the_smallest_failing_block():
     lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
                                        [0, 0, 7, 0], [0, 0, 0, 1]])
     report = verify.VerificationReport("demo", "n <= 4")
-    verify._products([("demo", lhs, identity, lambda: identity)], report, 4)
+    assert not verify._products([("demo", lhs, identity, identity.get)], report, 4)
     assert report.failures == [{"parameters": "demo, n=3, entry (2,2)",
                                 "expected": "1", "actual": "7"}]
     assert report.checked == 4
+    assert verify._products([("demo", identity, identity, identity.get)],
+                            verify.VerificationReport("demo", "n <= 4"), 4)
 
 
 def test_run_check_registry():
