@@ -1,7 +1,9 @@
-"""Entry generators for the Pascal and Catalan-Hankel matrix families; Gram factors."""
+"""Row makers for the Pascal and Catalan-Hankel matrix families; Gram factors.  M2 is read by
+Kummer's theorem: C(i+j, i) is odd exactly when i + j carries nothing in base 2, i & j == 0."""
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import exact, sequences
@@ -9,7 +11,7 @@ from . import exact, sequences
 
 @dataclass(frozen=True)
 class Family:
-    """A named infinite matrix with a total entry function on N0 x N0.
+    """A named infinite matrix with entries on N0 x N0.
 
     kind is a key of KINDS (the CLI name); a parametrizes P1 and M1.
     """
@@ -18,36 +20,43 @@ class Family:
     a: int = 0
 
 
-def _p1(a):
-    # at a = 0, 0 ** 0 == 1 leaves the identity
-    return lambda i, j: 0 if i > j else math.comb(j, i) * a ** (j - i)
+def _p1(a, n, m, k):
+    # a^lo .. a^(k+m-1), lo the least j - i of the window; at a = 0, 0 ** 0 == 1 leaves I
+    lo = max(k - n + 1, 0)
+    pw = list(itertools.accumulate(itertools.repeat(a, k + m - 1 - lo), operator.mul,
+                                   initial=a ** lo))
+    for i in range(n):
+        yield [0] * min(i - k, m) + [math.comb(j, i) * pw[j - i - lo]
+                                     for j in range(max(i, k), k + m)]
 
 
-def _m1(a):
-    def m1(i, j):
-        if i & ~j:
-            return 0
-        # bit-subset makes the exponent nonnegative; at a = 0, 0 ** 0 == 1
-        return a ** (sequences.s2(j) - sequences.s2(i))
-
-    return m1
-
-
-def _hankel(kind):
-    """Maker of the Hankel matrix (c_{i+j}) of the SEQUENCES entry `kind`."""
-    c = sequences.SEQUENCES[kind]
-    return lambda a: lambda i, j: c(i + j)
+def _m1(a, n, m, k):
+    cols = range(k, k + m)
+    s = list(map(int.bit_count, cols))  # s2, the popcount
+    # bit-subset makes the exponent nonnegative; at a = 0, 0 ** 0 == 1
+    pw = [a ** e for e in range(max(s, default=0) + 1)]
+    for i in range(n):
+        si = i.bit_count()
+        yield [0 if i & ~j else pw[sj - si] for j, sj in zip(cols, s)]
 
 
-# CLI name -> (whether it takes the parameter a, maker of its entry
-# function from a)
+def _hankel(kind, a, n, m, k):
+    """Rows of the Hankel matrix (c_{i+j}) of the SEQUENCES entry `kind`, sliced from its terms."""
+    s = list(map(sequences.SEQUENCES[kind], range(k, k + n + m - 1)))
+    return (s[i:i + m] for i in range(n))
+
+
+# CLI name -> (whether it takes the parameter a, maker(a, n, m, k) of the n rows of the
+# n x m window at column offset k, a new list each)
 KINDS = {
     "P1": (True, _p1),
-    "P2": (False, lambda a: lambda i, j: math.comb(i + j, i)),
+    "P2": (False, lambda a, n, m, k: ([math.comb(i + j, i) for j in range(k, k + m)]
+                                      for i in range(n))),
     "M1": (True, _m1),
-    "M2": (False, lambda a: lambda i, j: math.comb(i + j, i) % 2),
-    "H1": (False, _hankel("catalan_interspersed")),
-    "H2": (False, _hankel("catalan_interspersed_mod2")),
+    "M2": (False, lambda a, n, m, k: ([0 if i & j else 1 for j in range(k, k + m)]
+                                      for i in range(n))),
+    "H1": (False, lambda *args: _hankel("catalan_interspersed", *args)),
+    "H2": (False, lambda *args: _hankel("catalan_interspersed_mod2", *args)),
 }
 
 
@@ -65,15 +74,18 @@ H1 = Family("H1")
 H2 = Family("H2")
 
 
-def entry_fn(f: Family):
-    """Closure computing entries of f; total on N0 x N0."""
+def rows(f: Family, n: int, m: int | None = None, k: int = 0):
+    """The rows of the n x m window of f, columns from k; kind and sizes are checked here."""
     if f.kind not in KINDS:
         raise ValueError(f"unknown family kind: {f.kind}")
-    return KINDS[f.kind][1](f.a)
+    if n < 0 or (m := n if m is None else m) < 0 or k < 0:
+        raise ValueError("window parameters must be nonnegative")
+    return KINDS[f.kind][1](f.a, n, m, k)
 
 
 def window_of(f: Family, n: int, m: int | None = None, k: int = 0) -> exact.ExactMatrix:
-    return exact.window(entry_fn(f), n, m, k)
+    m = n if m is None else m
+    return exact.ExactMatrix(n, m, tuple(itertools.chain.from_iterable(rows(f, n, m, k))))
 
 
 def parse_family(text: str) -> Family:
@@ -97,8 +109,7 @@ def parse_family(text: str) -> Family:
 
 def _transposed(fam, t, n):
     """The Gram factor of n x n windows: L is the window of fam transposed, D_i = (-1)^t(i)."""
-    gen = entry_fn(fam)
-    return exact.window(lambda i, j: gen(j, i), n), [(-1) ** t(i) for i in range(n)]
+    return exact.ExactMatrix.from_rows(zip(*rows(fam, n))), [(-1) ** t(i) for i in range(n)]
 
 
 def _stieltjes(gamma, n):

@@ -40,12 +40,11 @@ class GeneratingSet:
 
 
 def _window(g, m: int, p: int) -> list:
-    if not isinstance(g, exact.ExactMatrix):
-        g = families.window_of(g, m)
-    elif g.rows < m or g.cols < m:
+    if isinstance(g, exact.ExactMatrix) and (g.rows < m or g.cols < m):
         raise ValueError(f"explicit generator is {g.rows}x{g.cols}, "
                          f"smaller than depth {m}")
-    return [[x % p for x in row[:m]] for row in g.to_rows()[:m]]
+    rows = g.to_rows()[:m] if isinstance(g, exact.ExactMatrix) else families.rows(g, m)
+    return [[x % p for x in row[:m]] for row in rows]
 
 
 @dataclass(frozen=True)

@@ -72,16 +72,16 @@ class VerificationReport:
 
 
 def _products(checks, report, n_max):
-    """left right == target for each (label, left, right, target), target an entry function,
-    each row of the n_max x n_max product compared as it is formed.  That settles every
-    upper-left block at once: block n holds (i, j) exactly when max(i, j) < n, so the differing
-    entry least in (max(i, j), i, j) is reported.  Returns report.passed."""
+    """left right == target for each (label, left, right, target), target the rows of a
+    window as lists, each row of the n_max x n_max product compared as it is formed.  That
+    settles every upper-left block at once: block n holds (i, j) exactly when max(i, j) < n,
+    so the differing entry least in (max(i, j), i, j) is reported.  Returns report.passed."""
     for label, left, right, target in checks:
         report.checked += n_max
         first = min((min((max(i, j), i, j, want[j], row[j]) for j in range(n_max)
                          if want[j] != row[j])
-                     for i, row in enumerate(exact.product_rows(left, right))
-                     if row != (want := [target(i, j) for j in range(n_max)])), default=None)
+                     for i, (row, want) in enumerate(zip(exact.product_rows(left, right), target))
+                     if row != want), default=None)
         if first:
             _, i, j, want, got = first
             report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})", want, got)
@@ -105,7 +105,7 @@ def _gram(target, label, expected, report, n_max):
     lower, d = families.GRAM[target.kind](n_max)
     e, minors = lower.entries, list(itertools.accumulate(d, operator.mul))
     checks = [(label, lower, exact.ExactMatrix(n_max, n_max, tuple(
-        x * v for l, x in enumerate(d) for v in e[l::n_max])), families.entry_fn(target))]
+        x * v for l, x in enumerate(d) for v in e[l::n_max])), families.rows(target, n_max))]
     if expected is None:
         _products(checks, report, n_max)
     elif (all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
@@ -132,7 +132,8 @@ def _item2(report, a, n_max):
         while p < abs(x):
             power, p = exact.mat_mul(power, base), p + 1
         found[t] = VerificationReport("item2", "")
-        _products([(f"a={x}", w(min(x, 0)), power, w(max(x, 0)).get)], found[t], n_max)
+        target = families.rows(families.P1(max(x, 0)), n_max)
+        _products([(f"a={x}", w(min(x, 0)), power, target)], found[t], n_max)
     report.checked += n_max * len(found)
     report.failures += [f for t in sorted(found) for f in found[t].failures]
 
@@ -143,23 +144,31 @@ def _refutations(kind, a, n):
     def differing(label, c, got):
         # c^0 .. c^max(e_ij) once; a negative e_ij, out of the table, is a hypothesis failure
         powers = [c ** e for e in range(max(e0, default=0) - min(e0, default=0) + 1)]
-        # got first, so that a stream of product rows runs out and frees its factors
-        for ij, (v, cij, eij) in enumerate(zip(got, coef, exps())):
-            if v != (want := cij and cij * (powers[eij] if eij >= 0 else c ** eij)):
-                yield f"{label}, entry ({ij // n},{ij % n})", want, v
 
-    coef = (one := families.window_of(families.Family(kind, 1), n)).entries
-    k = (n * max(coef, default=0) ** 2).bit_length() or 1
+        def failures(i, row, crow, g):
+            want = [cij and cij * (powers[f - g] if f >= g else c ** (f - g))
+                    for cij, f in zip(crow, e0)]
+            return () if row == want else [(f"{label}, entry ({i},{j})", w, v)
+                                           for j, (v, w) in enumerate(zip(row, want)) if v != w]
+
+        # map drops a row and its want before it reads the next row, and reads got to its end,
+        # so that a stream of product rows frees its factors
+        for found in map(failures, itertools.count(), got, lists(one), e0):
+            yield from found
+
+    lists = lambda w: (list(w.entries[i:i + n]) for i in range(0, n * n, n))  # no n lists kept
+    one = families.window_of(families.Family(kind, 1), n)
+    k = (n * max(one.entries, default=0) ** 2).bit_length() or 1
     x, wx = 1 << k, families.window_of(families.Family(kind, 1 << k), n)
-    e0 = [max(v.bit_length() - 1, 0) // k for v in wx.entries[:n]]  # e_0j, off row 0
-    exps = lambda: (f - g for g in e0 for f in e0)  # e_ij, made again per use: not n^2 ints kept
-    if any(cij < 0 or cij and (eij < 0 or cij << eij >= x) for cij, eij in zip(coef, exps())):
+    e0 = [max(v.bit_length() - 1, 0) // k for v in wx.entries[:n]]  # e_0j; e_ij = e_0j - e_0i
+    if any(cij < 0 or cij and (f < g or cij << f - g >= x)
+           for crow, g in zip(lists(one), e0) for cij, f in zip(crow, e0)):
         yield f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside"
-    yield from differing(f"a={x}", x, wx.entries)
+    yield from differing(f"a={x}", x, lists(wx))
     rows, wx = exact.product_rows(wx, one), None  # W(F(x)) is freed once its rows are read
-    yield from differing(f"a={x}, b=1", x + 1, itertools.chain.from_iterable(rows))
+    yield from differing(f"a={x}, b=1", x + 1, rows)
     for c in dict.fromkeys([x + 1, *a, *(p + q for p, q in itertools.product(a, a))]):
-        yield from differing(f"a={c}", c, families.window_of(families.Family(kind, c), n).entries)
+        yield from differing(f"a={c}", c, families.rows(families.Family(kind, c), n))
 
 
 def _group_law(kind, report, a, n_max):
@@ -170,7 +179,7 @@ def _group_law(kind, report, a, n_max):
         report.checked += len(a) ** 2 * n_max
         return
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    if _products(((f"a={x}, b={y}", w(x), w(y), w(x + y).get)
+    if _products(((f"a={x}, b={y}", w(x), w(y), families.rows(families.Family(kind, x + y), n_max))
                   for x, y in itertools.product(a, a)), report, n_max):
         report.fail(*refuted)
 
@@ -220,13 +229,12 @@ def _hankel_h2(report, n_max):
     windows, k <= _ANTI_K_MAX: ones on the anti-diagonal, zeros below it."""
     _gram(families.H2, "H2", lambda n: (-1) ** (n * (n - 1) // 2) * math.prod(
         map(sequences.SEQUENCES["paperfolding"], range(n))), report, n_max)
-    gen = families.entry_fn(families.H2)
     for n in (2 ** k - 1 for k in range(1, _ANTI_K_MAX + 1)):
         report.checked += 1
-        if bad := next(((i, j) for i in range(n) for j in range(n - 1 - i, n)
-                        if gen(i, j) != (i + j == n - 1)), None):
-            report.fail(f"anti-triangular n={n}, entry ({bad[0]},{bad[1]})",
-                        int(sum(bad) == n - 1), gen(*bad))
+        if bad := next(((i, j, row[j]) for i, row in enumerate(families.rows(families.H2, n))
+                        for j in range(n - 1 - i, n) if row[j] != (i + j == n - 1)), None):
+            i, j, got = bad
+            report.fail(f"anti-triangular n={n}, entry ({i},{j})", int(i + j == n - 1), got)
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,36 @@ def test_ldu_of_family_windows_matches_fraction_elimination_oracle(name, n):
     assert_ldu_matches_reference(families.window_of(families.parse_family(name), n))
 
 
+def test_ldu_lower_factor_transfers_mod_2():
+    # A symmetric with every leading minor +-1 has an integral L (L[i][k] = m[i][k]/m[k][k]);
+    # for B == A mod 2 with the same property, the LDU over F_2 is unique and D == 1 there,
+    # so L_B == L_A mod 2.  A = L D L^T from a random unit L, B = A + 2S, S symmetric
+    rng = random.Random(1529)
+    pairs = moved = 0
+    while pairs < 60:
+        n = rng.randint(2, 6)
+        lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)]
+                 for i in range(n)]
+        d = [rng.choice((1, -1)) for _ in range(n)]
+        a = ExactMatrix.from_rows([[sum(x * e * y for x, e, y in zip(u, d, v)) for v in lower]
+                                   for u in lower])
+        s = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        b = ExactMatrix.from_rows([[a.get(i, j) + 2 * s[min(i, j)][max(i, j)]
+                                    for j in range(n)] for i in range(n)])
+        try:
+            if any(abs(m) != 1 for m in exact.leading_principal_minors(b)):
+                continue
+        except exact.SingularMinorError:
+            continue
+        la, lb = exact.ldu_decompose(a).L, exact.ldu_decompose(b).L
+        assert la == ExactMatrix.from_rows(lower)
+        assert all(isinstance(x, int) for x in la.entries + lb.entries)
+        assert [x % 2 for x in lb.entries] == [x % 2 for x in la.entries]
+        pairs += 1
+        moved += la != lb
+    assert moved > 20, moved  # 32 of the 60 pairs have L_B != L_A: not only equal factors
+
+
 def test_ldu_reports_vanishing_minor_order():
     a = ExactMatrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(exact.SingularMinorError) as err:

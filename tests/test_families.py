@@ -1,7 +1,8 @@
-"""Matrix family entry generators."""
+"""Matrix family row makers, checked against per-entry reference closures."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,13 +14,54 @@ from pascalhankel import families as fam
 from pascalhankel import laurent
 from pascalhankel import sequences as seq
 
+# kind -> maker from a of the entry function (i, j): the reference for every window
+ORACLE = {
+    # at a = 0, 0 ** 0 == 1 leaves the identity
+    "P1": lambda a: lambda i, j: 0 if i > j else math.comb(j, i) * a ** (j - i),
+    "P2": lambda a: lambda i, j: math.comb(i + j, i),
+    # bit-subset makes the exponent nonnegative
+    "M1": lambda a: lambda i, j: 0 if i & ~j else a ** (seq.s2(j) - seq.s2(i)),
+    "M2": lambda a: lambda i, j: math.comb(i + j, i) % 2,
+    "H1": lambda a: lambda i, j: seq.SEQUENCES["catalan_interspersed"](i + j),
+    "H2": lambda a: lambda i, j: seq.SEQUENCES["catalan_interspersed_mod2"](i + j),
+}
+
+
+def entry(f, i, j):
+    """Entry (i, j) of the family f, read off the last row of a one-column window."""
+    return fam.window_of(f, i + 1, 1, j).entries[i]
+
+
+def window_cases():
+    """Seeded (family, n, m, k), a in {0, +-1, +-3, 10} for P1 and M1, with empty
+    windows, the deep P1(10) column of `matrix show` and deep M2, H1 and H2 columns."""
+    rng = random.Random(29)
+    for kind, (takes_a, _) in fam.KINDS.items():
+        for a in (0, 1, -1, 3, -3, 10) if takes_a else (0,):
+            f = fam.Family(kind, a)
+            yield from ((f, rng.randrange(13), rng.randrange(13), rng.randrange(70))
+                        for _ in range(4))
+            yield from ((f, 0, 5, rng.randrange(70)), (f, 5, 0, rng.randrange(70)))
+    yield fam.P1(10), 3, 4, 5000
+    yield from ((f, 6, 7, 1000) for f in (fam.M2, fam.H1, fam.H2))
+
+
+def test_windows_match_the_entry_oracle():
+    for f, n, m, k in window_cases():
+        assert fam.window_of(f, n, m, k) == exact.window(ORACLE[f.kind](f.a), n, m, k), \
+            (f, n, m, k)
+
 
 def test_entry_examples():
-    assert fam.entry_fn(fam.M1(2))(1, 3) == 2
-    assert fam.entry_fn(fam.M2)(1, 1) == 0
-    assert fam.entry_fn(fam.H1)(1, 1) == -1
+    assert entry(fam.M1(2), 1, 3) == 2
+    assert entry(fam.M2, 1, 1) == 0
+    assert entry(fam.H1, 1, 1) == -1
+    # the kind and the sizes are checked when the rows are asked for, not when read
     with pytest.raises(ValueError, match="unknown family kind: P3"):
-        fam.entry_fn(fam.Family("P3"))
+        fam.rows(fam.Family("P3"), 1)
+    for n, m, k in ((-1, None, 0), (2, -1, 0), (2, 2, -1)):
+        with pytest.raises(ValueError, match="window parameters must be nonnegative"):
+            fam.rows(fam.P1(1), n, m, k)
 
 
 def test_delta_at_zero_parameter():
@@ -38,7 +80,7 @@ def h2_structure_entry(i: int, j: int) -> int:
 def test_h2_structure_examples():
     for i, j, want in ((0, 0, 1), (3, 3, 1), (1, 2, 0), (1, 5, 1), (2, 2, 0)):
         assert h2_structure_entry(i, j) == want
-        assert fam.entry_fn(fam.H2)(i, j) == want
+        assert entry(fam.H2, i, j) == want
 
 
 def test_h2_structure_matches_catalan_mod2():
@@ -72,11 +114,19 @@ def test_hankel_window_is_laurent_coefficients(hankel, series):
 
 
 def test_m1_is_p1_mod2():
-    p1 = fam.entry_fn(fam.P1(1))
-    m1 = fam.entry_fn(fam.M1(1))
-    for i in range(513):
-        for j in range(0, 513, 7):
-            assert p1(i, j) % 2 == m1(i, j)
+    for j in range(0, 513, 7):
+        p1 = fam.window_of(fam.P1(1), 513, 1, j)
+        assert [x % 2 for x in p1.entries] == list(fam.window_of(fam.M1(1), 513, 1, j).entries)
+
+
+def test_shifted_m1_windows_repeat_with_period_2_to_the_r():
+    # for i < n <= 2^r, whether i is a bit-subset of k + j depends on (k + j) mod 2^r only, so
+    # the n x n window of M1(1) at offset k, the leading block of the 2^r one, is that of k mod 2^r
+    for r in range(5):
+        q = 2 ** r
+        period = [list(fam.rows(fam.M1(1), q, q, k)) for k in range(q)]
+        for k in range(256):
+            assert list(fam.rows(fam.M1(1), q, q, k)) == period[k % q], (r, k)
 
 
 def test_m1_magnitudes():
@@ -85,7 +135,7 @@ def test_m1_magnitudes():
         a = rng.choice([-3, -2, -1, 1, 2, 3, 5])
         i = rng.randrange(128)
         j = rng.randrange(128)
-        e = fam.entry_fn(fam.M1(a))(i, j)
+        e = entry(fam.M1(a), i, j)
         if e:
             exponent = seq.s2(j) - seq.s2(i)
             assert exponent >= 0
@@ -95,11 +145,10 @@ def test_m1_magnitudes():
 def test_hankel_symmetry():
     rng = random.Random(5)
     for f in (fam.H1, fam.H2):
-        g = fam.entry_fn(f)
         for _ in range(100):
             i = rng.randrange(40)
             j = rng.randrange(40)
-            assert g(i, j) == g(j, i)
+            assert entry(f, i, j) == entry(f, j, i)
 
 
 def test_parse_family():

@@ -79,7 +79,7 @@ def _pair_loop(kind, a, n_max):
     each window built once, as verify falls back to."""
     report = verify.VerificationReport("pair loop", "")
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y).get)
+    verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y).to_rows())
                       for x, y in itertools.product(a, a)), report, n_max)
     return report
 
@@ -547,9 +547,11 @@ def _corrupt(monkeypatch, kind, a, i0, j0, delta=1):
     """Add delta to entry (i0, j0) of the family kind at parameter a."""
     takes_a, make = families.KINDS[kind]
 
-    def maker(x):
-        f = make(x)
-        return f if x != a else lambda i, j: f(i, j) + delta * ((i, j) == (i0, j0))
+    def maker(x, n, m, k):
+        for i, row in enumerate(make(x, n, m, k)):
+            if (x, i) == (a, i0) and 0 <= j0 - k < m:
+                row[j0 - k] += delta
+            yield row
 
     monkeypatch.setitem(families.KINDS, kind, (takes_a, maker))
 
@@ -684,11 +686,11 @@ def test_products_names_the_smallest_failing_block():
     lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
                                        [0, 0, 7, 0], [0, 0, 0, 1]])
     report = verify.VerificationReport("demo", "n <= 4")
-    assert not verify._products([("demo", lhs, identity, identity.get)], report, 4)
+    assert not verify._products([("demo", lhs, identity, identity.to_rows())], report, 4)
     assert report.failures == [{"parameters": "demo, n=3, entry (2,2)",
                                 "expected": "1", "actual": "7"}]
     assert report.checked == 4
-    assert verify._products([("demo", identity, identity, identity.get)],
+    assert verify._products([("demo", identity, identity, identity.to_rows())],
                             verify.VerificationReport("demo", "n <= 4"), 4)
 
 
