@@ -8,6 +8,7 @@ errors, 3 on internal errors.
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -220,8 +221,9 @@ def _cmd_net(args, out) -> int:
         if args.n > args.p ** args.m:
             raise argparse.ArgumentTypeError(
                 f"cannot place {args.n} points at depth {args.m} in base {args.p}")
+        d = args.p ** args.m  # each numerator x over d, in lowest terms as a Fraction prints it
         for pt in net.points(net.GeneratingSet(args.p, args.dims[1]), args.n, args.m):
-            print(",".join(f"{x.numerator}/{x.denominator}" for x in pt), file=out)
+            print(",".join(f"{x // (g := math.gcd(x, d))}/{d // g}" for x in pt), file=out)
     elif args.action == "discrepancy":
         with open(args.input) as fh:
             ps = _point_set(fh)

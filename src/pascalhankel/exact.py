@@ -249,40 +249,51 @@ def rank_mod_p(a: ExactMatrix, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _ints(a)
-    basis = {}
+    field, basis = _field(p, a.cols), {}
     for i, row in enumerate(a.to_rows()):
-        _insert(basis, [x % p for x in row], -i, p)
+        _insert(basis, _pack(row, field), -i, field)
     return len(basis)
 
 
-def _insert(basis: dict, row: list, time: int, p: int) -> None:
-    """Insert a row with entries in 0..p-1, stamped `time`, into `basis`:
-    the one F_p elimination.
+def _field(p: int, width: int) -> tuple:
+    """_insert's constants for `width` columns mod p: column c in bits [c b, (c+1) b)."""
+    b = (p * p - p).bit_length() + 1
+    ones = ((1 << width * b) - 1) // ((1 << b) - 1)  # 1 in every field
+    top = ones << b - 1
+    return p, b, top, [(top - (ones * p << t), p << t) for t in reversed(range(p.bit_length()))]
+
+
+def _pack(row, field: tuple) -> int:
+    return sum(x % field[0] << c * field[1] for c, x in enumerate(row))
+
+
+def _insert(basis: dict, row: int, time: int, field: tuple) -> None:
+    """Insert a row packed by _pack, stamped `time`, into `basis`: the one F_p
+    elimination.
 
     `basis` maps a leading (lowest nonzero) column to (time, row, inverse of
     the row's lead).  On a collision the newer row keeps the column and the
     older one, reduced by it, goes on; so for every l the kept rows of time
     >= l span the inserted rows of time >= l, and a stack inserted with
-    decreasing times never swaps.  Rows are rebound, never mutated: callers
-    pass rows of a shared table.
+    decreasing times never swaps.  A reduction adds (p - f) pivot, leaving
+    each field at most p^2 - p < 2^(b-1); step t takes p 2^t off every field
+    >= p 2^t, which sets the top bit of field + 2^(b-1) - p 2^t < 2^b, so no
+    carry or borrow crosses a field and the fields end below p.
     """
-    n = len(row)
-    c = 0
-    while True:
-        while c < n and not row[c]:
-            c += 1
-        if c == n:
-            return
+    p, b, top, steps = field
+    mask = (1 << b) - 1
+    while row:
+        c = ((row & -row).bit_length() - 1) // b
         kept = basis.get(c)
         if kept is None or kept[0] < time:
-            basis[c] = (time, row, pow(row[c], -1, p))
+            basis[c] = (time, row, pow(row >> c * b & mask, -1, p))
             if kept is None:
                 return
             time, row, _ = kept
         _, pivot, inv = basis[c]
-        f = row[c] * inv % p
-        row = [0] * c + [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
-        c += 1
+        row += (p - (row >> c * b & mask) * inv % p) * pivot
+        for k, q in steps:
+            row -= (((row + k) & top) >> b - 1) * q
 
 
 # --- serialization ---------------------------------------------------------

@@ -40,6 +40,14 @@ def _m1(a, n, m, k):
         yield [0 if i & ~j else pw[sj - si] for j, sj in zip(cols, s)]
 
 
+def _p2(a, n, m, k):
+    # Pascal's rule: row i+1 is the running sums of row i from C(i+k, i+1), left of column k
+    row = [1] * m
+    for i in range(n):
+        yield row
+        row = list(itertools.accumulate(row, initial=math.comb(i + k, i + 1)))[1:]
+
+
 def _hankel(kind, a, n, m, k):
     """Rows of the Hankel matrix (c_{i+j}) of the SEQUENCES entry `kind`, sliced from its terms."""
     s = list(map(sequences.SEQUENCES[kind], range(k, k + n + m - 1)))
@@ -50,8 +58,7 @@ def _hankel(kind, a, n, m, k):
 # n x m window at column offset k, a new list each)
 KINDS = {
     "P1": (True, _p1),
-    "P2": (False, lambda a, n, m, k: ([math.comb(i + j, i) for j in range(k, k + m)]
-                                      for i in range(n))),
+    "P2": (False, _p2),
     "M1": (True, _m1),
     "M2": (False, lambda a, n, m, k: ([0 if i & j else 1 for j in range(k, k + m)]
                                       for i in range(n))),

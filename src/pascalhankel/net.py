@@ -6,6 +6,7 @@ in dimensions 1 and 2, and a search harness for a third base-3 generating
 matrix.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -77,15 +78,17 @@ def _t_values(p: int, windows: list, m_max: int) -> list:
         raise ValueError("m_max must be positive")
     never = m_max + 1
     worst = [0] * (m_max + 1)  # largest need found over the compositions of k
+    field = exact._field(p, m_max)
+    windows = [[exact._pack(row, field) for row in w] for w in windows]
 
     def last_two(xs, ys, used, prefix):
         budget = m_max - used
         basis = dict(prefix)
         for a in range(min(budget, len(ys)), 0, -1):
-            exact._insert(basis, ys[a - 1], -a, p)
+            exact._insert(basis, ys[a - 1], -a, field)
         for b in range(budget + 1):
             if b:
-                exact._insert(basis, xs[b - 1], b - 1, p)
+                exact._insert(basis, xs[b - 1], b - 1, field)
             # the prefix rows, stamped newest, and X[:b] are in every window
             count, top, leads = 0, 0, {}
             for c, (time, _, _) in basis.items():
@@ -115,7 +118,7 @@ def _t_values(p: int, windows: list, m_max: int) -> list:
             walk(gens[1:], used + d, prefix)
             if used + d == m_max:
                 return
-            exact._insert(prefix, gens[0][d], m_max + used + d, p)
+            exact._insert(prefix, gens[0][d], m_max + used + d, field)
             if len(prefix) == used + d:  # singular, and so is every extension
                 worst[used + d + 1] = never
                 return
@@ -133,47 +136,47 @@ def _t_values(p: int, windows: list, m_max: int) -> list:
     return out
 
 
-def points(gs: GeneratingSet, n_points: int, m: int):
-    """Yield the first n_points points of the digital sequence at depth m:
-    coordinate i of point n is 0.y_1 ... y_m in base p, y = C_i . digits(n)
-    mod p for the m x m window C_i and the digits of n, least significant
-    first.
+_BLOCK = 1000  # a block of points is the least power of p >= min(n_points, _BLOCK)
 
-    Going from n to n+1 raises digit k by one and wraps every digit below
-    it from p-1 to 0, which adds (1-p) col_j = col_j mod p; so y gains the
-    sum of columns 0..k of C_i, amortised O(m) work per coordinate.
+
+def points(gs: GeneratingSet, n_points: int, m: int):
+    """Yield the first n_points points of the digital sequence at depth m,
+    each a tuple of integer numerators over p^m: coordinate i of point n is
+    0.y_1 ... y_m in base p, y = C_i . digits(n) mod p for the m x m window
+    C_i and the digits of n, least significant first.
+
+    With n = q p^h + r, y = C_i[:, :h] . digits(r) + C_i[:, h:] . digits(q).
+    The first term is a table per row of C_i over r < p^h, built once; the
+    second is one offset per row and block q.  So a block of p^h points
+    costs one list comprehension per row of each C_i, forming the numerators
+    by Horner's rule in base p, and the tables hold s m p^h entries
+    whatever n_points is.
     """
     p = gs.p
     if n_points > p ** m:
         raise ValueError(f"cannot place {n_points} points at depth {m} in base {p}")
     windows = gs.windows(m)
-    denom = p ** m
-    weights = [p ** (m - 1 - r) for r in range(m)]
-    # carry_sums[i][k] = columns 0..k of C_i summed mod p
-    carry_sums = []
-    for c in windows:
-        acc, sums = [0] * m, []
-        for k in range(m):
-            acc = [(a + row[k]) % p for a, row in zip(acc, c)]
-            sums.append(acc)
-        carry_sums.append(sums)
-    digits = [0] * m
-    ys = [[0] * m for _ in windows]
-    for n in range(n_points):
-        if n:
-            k = 0
-            while digits[k] == p - 1:
-                digits[k] = 0
-                k += 1
-            digits[k] += 1
-            ys = [[(a + b) % p for a, b in zip(y, sums[k])]
-                  for y, sums in zip(ys, carry_sums)]
-        yield tuple(Fraction(sum(map(mul, y, weights)), denom) for y in ys)
+    h = next(h for h in itertools.count() if p ** h >= min(n_points, _BLOCK))
+    # planes[i][r][x] = C_i[r][:h] . digits(x) mod p for x < p^h, one digit of x at a time
+    planes = [[functools.reduce(lambda pl, ck: [(y + ck * d) % p for d in range(p) for y in pl],
+                                row[:h], [0]) for row in c] for c in windows]
+    for q in range(0, n_points, p ** h):
+        digits = [q // p ** k % p for k in range(h, m)]
+        coords = []
+        for c, rows in zip(windows, planes):
+            acc = [0] * p ** h
+            for row, plane in zip(c, rows):
+                off = sum(map(mul, row[h:], digits)) % p
+                acc = [a * p + (y + off) % p for a, y in zip(acc, plane)]
+            coords.append(acc)
+        yield from itertools.islice(zip(*coords), n_points - q)
 
 
 def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
     """The first n_points points of the digital sequence at depth m."""
-    return PointSet(len(gs.generators), tuple(points(gs, n_points, m)))
+    denom = gs.p ** m
+    return PointSet(len(gs.generators), tuple(tuple(Fraction(x, denom) for x in pt)
+                                              for pt in points(gs, n_points, m)))
 
 
 def star_discrepancy(ps: PointSet) -> Fraction:

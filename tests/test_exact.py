@@ -392,11 +392,42 @@ def span_size_mod_p(rows, p, cols):
     return len(span)
 
 
+def insert_lists(basis: dict, row: list, time: int, p: int) -> None:
+    """Reference elimination: exact._insert on rows as lists of entries in
+    0..p-1, one entry at a time, with the same basis, lead column ->
+    (time, row, inverse of the row's lead), and the same swap rule.  Rows
+    are rebound, never mutated: callers pass rows of a shared table."""
+    n = len(row)
+    c = 0
+    while True:
+        while c < n and not row[c]:
+            c += 1
+        if c == n:
+            return
+        kept = basis.get(c)
+        if kept is None or kept[0] < time:
+            basis[c] = (time, row, pow(row[c], -1, p))
+            if kept is None:
+                return
+            time, row, _ = kept
+        _, pivot, inv = basis[c]
+        f = row[c] * inv % p
+        row = [0] * c + [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
+        c += 1
+
+
+def unpacked(basis: dict, field: tuple, width: int) -> dict:
+    """A basis of packed rows with each row as a list of its fields."""
+    b = field[1]
+    return {c: (time, [row >> j * b & (1 << b) - 1 for j in range(width)], inv)
+            for c, (time, row, inv) in basis.items()}
+
+
 def test_shared_rank_loop_matches_span_enumeration():
-    """The one F_p elimination, exact._insert: a stack inserted with
-    decreasing times keeps rank-many rows; inserted with increasing times,
-    the kept rows of time >= l and lead < m count the rank of rows l.. cut
-    to their first m columns."""
+    """The one F_p elimination, exact._insert on packed rows, and the list
+    reference: a stack inserted with decreasing times keeps rank-many rows;
+    inserted with increasing times, the kept rows of time >= l and lead < m
+    count the rank of rows l.. cut to their first m columns."""
     rng = random.Random(7)
     seen = set()
     for p in (2, 3, 5, 7):
@@ -409,25 +440,69 @@ def test_shared_rank_loop_matches_span_enumeration():
             for i in rng.sample(range(nrows), nrows // 3):
                 rows[i] = [0] * cols
             before = [list(r) for r in rows]
-            basis = {}
-            for i, row in enumerate(rows):
-                exact._insert(basis, row, -i, p)
-            r = len(basis)
+            field = exact._field(p, cols)
+            packed = [exact._pack(row, field) for row in rows]
+            bases = []
+            for time in (lambda i: -i, lambda i: i):
+                basis, reference = {}, {}
+                for i, row in enumerate(rows):
+                    exact._insert(basis, packed[i], time(i), field)
+                    insert_lists(reference, row, time(i), p)
+                assert unpacked(basis, field, cols) == reference, (p, rows)
+                bases.append(basis)
+            r = len(bases[0])
             assert p ** r == span_size_mod_p(rows, p, cols), (p, rows)
             assert exact.rank_mod_p(ExactMatrix(nrows, cols, tuple(x for row in rows
                                                                     for x in row)), p) == r
-            basis = {}
-            for i, row in enumerate(rows):
-                exact._insert(basis, row, i, p)
             for l in range(nrows + 1):
                 for m in range(cols + 1):
-                    kept = sum(1 for c, (time, _, _) in basis.items() if time >= l and c < m)
+                    kept = sum(1 for c, (time, _, _) in bases[1].items() if time >= l and c < m)
                     cut = [row[:m] for row in rows[l:]]
                     assert p ** kept == span_size_mod_p(cut, p, m), (p, rows, l, m)
-            assert rows == before  # the loop rebinds rows, never mutates them
+            assert rows == before  # the reference rebinds rows, never mutates them
             seen.add((nrows > cols, r == min(nrows, cols)))
     # wide, tall, full-rank and rank-deficient matrices all occur
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_packed_elimination_matches_the_list_reference():
+    """exact._insert on packed rows against insert_lists at small and
+    word-sized primes over widths 0..130: the same basis row for row, with
+    increasing and decreasing times, and rank_mod_p of entries outside
+    0..p-1.  Zero rows, repeated rows, combinations of earlier rows and rows
+    of all p - 1 occur; reducing a row of all p - 1 by another gives the
+    largest field sum, p^2 - p, in every field."""
+    rng = random.Random(3030)
+    ranks = set()
+    for p in (2, 3, 5, 7, 251, 65521, 2 ** 31 - 1, 4294967291):
+        for width in range(131):
+            rows = []
+            for i in range(rng.randint(0, 7)):
+                kind = rng.randrange(5) if i else 0
+                if kind == 1:
+                    rows.append([0] * width)
+                elif kind == 2:
+                    rows.append(list(rows[rng.randrange(i)]))
+                elif kind == 3:
+                    f, g = rng.randrange(p), rng.randrange(p)
+                    rows.append([(f * x + g * y) % p for x, y in
+                                 zip(rows[rng.randrange(i)], rows[rng.randrange(i)])])
+                elif kind == 4 or rng.random() < 0.2:
+                    rows.append([p - 1] * width)
+                else:
+                    rows.append([rng.randrange(p) if rng.random() < 0.8 else 0
+                                 for _ in range(width)])
+            field = exact._field(p, width)
+            for time in (lambda i: -i, lambda i: i):
+                basis, reference = {}, {}
+                for i, row in enumerate(rows):
+                    exact._insert(basis, exact._pack(row, field), time(i), field)
+                    insert_lists(reference, row, time(i), p)
+                assert unpacked(basis, field, width) == reference, (p, width)
+            shifted = tuple(x + p * rng.randint(-3, 3) for row in rows for x in row)
+            assert exact.rank_mod_p(ExactMatrix(len(rows), width, shifted), p) == len(reference)
+            ranks.add((len(reference) < min(len(rows), width), len(reference) == len(rows)))
+    assert ranks == {(False, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("maker", [families.P1, families.M1])

@@ -34,7 +34,7 @@ def entry(f, i, j):
 
 def window_cases():
     """Seeded (family, n, m, k), a in {0, +-1, +-3, 10} for P1 and M1, with empty
-    windows, the deep P1(10) column of `matrix show` and deep M2, H1 and H2 columns."""
+    windows, the deep P1(10) column of `matrix show` and deep P2, M2, H1 and H2 columns."""
     rng = random.Random(29)
     for kind, (takes_a, _) in fam.KINDS.items():
         for a in (0, 1, -1, 3, -3, 10) if takes_a else (0,):
@@ -43,7 +43,10 @@ def window_cases():
                         for _ in range(4))
             yield from ((f, 0, 5, rng.randrange(70)), (f, 5, 0, rng.randrange(70)))
     yield fam.P1(10), 3, 4, 5000
-    yield from ((f, 6, 7, 1000) for f in (fam.M2, fam.H1, fam.H2))
+    yield from ((f, 6, 7, 1000) for f in (fam.P2, fam.M2, fam.H1, fam.H2))
+    # P2 by Pascal's rule, row after row: the sizes it was timed at, and empty windows
+    yield from ((fam.P2, n, m, k) for n, m, k in ((128, 128, 0), (40, 40, 0), (12, 12, 64),
+                                                  (5, 7, 3), (0, 7, 3), (5, 0, 3), (0, 0, 0)))
 
 
 def test_windows_match_the_entry_oracle():

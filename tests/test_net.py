@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pascalhankel import exact, families as fam, net
+from test_exact import insert_lists
 
 
 def gs(p, *gens):
@@ -49,7 +51,7 @@ def stacked_rank_ok(p, windows, composition):
     rows = [row for w, d in zip(windows, composition) for row in w[:d]]
     basis = {}
     for i, row in enumerate(rows):
-        exact._insert(basis, row, -i, p)
+        insert_lists(basis, row, -i, p)
     return len(basis) == sum(composition)
 
 
@@ -230,10 +232,14 @@ def dot_product_points(g, n_points, m):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_digital_points_match_dot_products(p):
+def test_digital_points_match_dot_products(p, monkeypatch):
+    """With the block cap as it is, and small enough that depths up to 6
+    take many blocks (of one point each at cap 1): no point, one, one block
+    and one more, p^m - 1 (not a power of p once p^m > 2) and p^m, at
+    depths 0..6."""
     rng = random.Random(p)
     # a family, a random upper unitriangular matrix and an explicit matrix,
-    # not triangular, with entries outside 0..p-1
+    # dense, not triangular, with entries outside 0..p-1
     explicit = exact.ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(6)]
                                             for _ in range(6)])
     pool = (fam.P1(1), net.random_upper_unitriangular(6, p, rng), explicit)
@@ -241,11 +247,46 @@ def test_digital_points_match_dot_products(p):
         g = gs(p, *(pool[(s + i) % 3] for i in range(s)))
         for m in range(7):
             want = dot_product_points(g, p ** m, m)
-            # p^m, and p^m - 1, which is not a power of p once p^m > 2
-            for n_points in {p ** m, p ** m - 1}:
-                ps = net.digital_points(g, n_points, m)
-                assert ps.s == s
-                assert list(ps.points) == want[:n_points], (s, m, n_points)
+            for cap in (net._BLOCK, p + 1) + ((1,) if m < 5 else ()):  # 1: a point a block
+                monkeypatch.setattr(net, "_BLOCK", cap)
+                block = next(p ** h for h in itertools.count() if p ** h >= min(p ** m, cap))
+                for n_points in {0, 1, block + 1, p ** m - 1, p ** m} - {p ** m + 1}:
+                    ps = net.digital_points(g, n_points, m)
+                    assert ps.s == s
+                    assert list(ps.points) == want[:n_points], (s, m, cap, n_points)
+
+
+@pytest.mark.parametrize("p, m", [(2, 11), (3, 8)])
+def test_digital_points_match_dot_products_past_the_block_cap(p, m):
+    """p^m points in blocks of p^h >= net._BLOCK, the least such power: one
+    block and one more, p^m - 1 and p^m, with an explicit dense generator."""
+    rng = random.Random(m)
+    explicit = exact.ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(m)]
+                                            for _ in range(m)])
+    g = gs(p, fam.M1(1), explicit, net.random_upper_unitriangular(m, p, rng))
+    block = next(p ** h for h in itertools.count() if p ** h >= net._BLOCK)
+    assert block < p ** m
+    want = dot_product_points(g, p ** m, m)
+    for n_points in (block + 1, p ** m - 1, p ** m):
+        assert list(net.digital_points(g, n_points, m).points) == want[:n_points]
+
+
+def test_first_point_peaks_below_a_bound_that_does_not_grow_with_n_points():
+    """net.points streams: its tables hold s m p^h entries, p^h < p
+    net._BLOCK whatever n_points is, so the first of the 531441 points at
+    p = 3 and m = 12 costs what the first of 3^7 does (a whole 3^12 point
+    set holds about 50 MB)."""
+    g = gs(3, fam.M1(1), fam.M1(2))
+    peaks = []
+    for n_points in (3 ** 12, 3 ** 7):
+        tracemalloc.start()
+        try:
+            first = next(net.points(g, n_points, 12))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert first == (0, 0)
+    assert peaks[0] < 1024 * 1024 and peaks[0] < peaks[1] * 1.1, peaks
 
 
 def test_digital_points_van_der_corput():
