@@ -136,7 +136,7 @@ def _t_values(p: int, windows: list, m_max: int) -> list:
     return out
 
 
-_BLOCK = 1000  # a block of points is the least power of p >= min(n_points, _BLOCK)
+_BLOCK = 1000  # a block of points is the largest power of p <= min(n_points, _BLOCK), or 1
 
 
 def points(gs: GeneratingSet, n_points: int, m: int):
@@ -149,14 +149,14 @@ def points(gs: GeneratingSet, n_points: int, m: int):
     The first term is a table per row of C_i over r < p^h, built once; the
     second is one offset per row and block q.  So a block of p^h points
     costs one list comprehension per row of each C_i, forming the numerators
-    by Horner's rule in base p, and the tables hold s m p^h entries
-    whatever n_points is.
+    by Horner's rule in base p, and the tables hold s m p^h <= s m _BLOCK
+    entries whatever n_points and p are (past _BLOCK, h = 0: a point a block).
     """
     p = gs.p
     if n_points > p ** m:
         raise ValueError(f"cannot place {n_points} points at depth {m} in base {p}")
     windows = gs.windows(m)
-    h = next(h for h in itertools.count() if p ** h >= min(n_points, _BLOCK))
+    h = next(h for h in itertools.count() if p ** (h + 1) > min(n_points, _BLOCK))
     # planes[i][r][x] = C_i[r][:h] . digits(x) mod p for x < p^h, one digit of x at a time
     planes = [[functools.reduce(lambda pl, ck: [(y + ck * d) % p for d in range(p) for y in pl],
                                 row[:h], [0]) for row in c] for c in windows]

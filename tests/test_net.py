@@ -249,7 +249,7 @@ def test_digital_points_match_dot_products(p, monkeypatch):
             want = dot_product_points(g, p ** m, m)
             for cap in (net._BLOCK, p + 1) + ((1,) if m < 5 else ()):  # 1: a point a block
                 monkeypatch.setattr(net, "_BLOCK", cap)
-                block = next(p ** h for h in itertools.count() if p ** h >= min(p ** m, cap))
+                block = p ** next(h for h in itertools.count() if p ** (h + 1) > min(p ** m, cap))
                 for n_points in {0, 1, block + 1, p ** m - 1, p ** m} - {p ** m + 1}:
                     ps = net.digital_points(g, n_points, m)
                     assert ps.s == s
@@ -258,21 +258,22 @@ def test_digital_points_match_dot_products(p, monkeypatch):
 
 @pytest.mark.parametrize("p, m", [(2, 11), (3, 8)])
 def test_digital_points_match_dot_products_past_the_block_cap(p, m):
-    """p^m points in blocks of p^h >= net._BLOCK, the least such power: one
-    block and one more, p^m - 1 and p^m, with an explicit dense generator."""
+    """p^m points in blocks of p^h <= net._BLOCK, the largest such power:
+    one block and one more, p^m - 1 and p^m, with an explicit dense
+    generator."""
     rng = random.Random(m)
     explicit = exact.ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(m)]
                                             for _ in range(m)])
     g = gs(p, fam.M1(1), explicit, net.random_upper_unitriangular(m, p, rng))
-    block = next(p ** h for h in itertools.count() if p ** h >= net._BLOCK)
-    assert block < p ** m
+    block = p ** next(h for h in itertools.count() if p ** (h + 1) > net._BLOCK)
+    assert block <= net._BLOCK < p * block < p ** m
     want = dot_product_points(g, p ** m, m)
     for n_points in (block + 1, p ** m - 1, p ** m):
         assert list(net.digital_points(g, n_points, m).points) == want[:n_points]
 
 
 def test_first_point_peaks_below_a_bound_that_does_not_grow_with_n_points():
-    """net.points streams: its tables hold s m p^h entries, p^h < p
+    """net.points streams: its tables hold s m p^h entries, p^h <=
     net._BLOCK whatever n_points is, so the first of the 531441 points at
     p = 3 and m = 12 costs what the first of 3^7 does (a whole 3^12 point
     set holds about 50 MB)."""
@@ -287,6 +288,27 @@ def test_first_point_peaks_below_a_bound_that_does_not_grow_with_n_points():
             tracemalloc.stop()
         assert first == (0, 0)
     assert peaks[0] < 1024 * 1024 and peaks[0] < peaks[1] * 1.1, peaks
+
+
+@pytest.mark.parametrize("p, m", [(997, 2), (1009, 2), (4294967291, 1)])
+def test_blocks_stay_within_the_cap_at_primes_near_and_past_it(p, m):
+    """Just below the cap a block is p points, and past it one point: at 2
+    and at cap + 1 points the points match the dot products, and taking them
+    all peaks far below one table of p^2 (or, at m = 1, p) entries."""
+    rng = random.Random(p)
+    g = gs(p, fam.P1(1), net.random_upper_unitriangular(m, p, rng))
+    for n_points in (2, net._BLOCK + 1):
+        if n_points > p ** m:
+            continue
+        tracemalloc.start()
+        try:
+            got = list(net.points(g, n_points, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [tuple(Fraction(x, p ** m) for x in pt) for pt in got] == \
+            dot_product_points(g, n_points, m), (p, n_points)
+        assert peak < 1024 * 1024, (p, n_points, peak)
 
 
 def test_digital_points_van_der_corput():
