@@ -256,10 +256,8 @@ def rank_mod_p(a: ExactMatrix, p: int) -> int:
 
 
 def _field(p: int, width: int) -> tuple:
-    """_insert's constants for `width` columns mod p: column c in bits
-    [c b, (c+1) b), b = 3 bit_length(p), and Barrett's 2^n // p."""
-    n = 2 * p.bit_length()
-    b = n + p.bit_length()
+    """_insert's constants for `width` columns mod p: column c in bits [c b, (c+1) b)."""
+    n, b = 2 * p.bit_length(), 3 * p.bit_length()
     ones = ((1 << width * b) - 1) // ((1 << b) - 1)  # 1 in every field
     top = ones << b - 1
     return p, b, n, (1 << n) // p, ones * ((1 << b - n) - 1), top, top - ones * p
@@ -278,12 +276,10 @@ def _insert(basis: dict, row: int, time: int, field: tuple) -> None:
     older one, reduced by it, goes on; so for every l the kept rows of time
     >= l span the inserted rows of time >= l, and a stack inserted with
     decreasing times never swaps.  A reduction adds (p - f) pivot, leaving
-    each field v <= p^2 - p < 2^n.  Barrett's quotient q = v mu >> n, mu =
-    2^n // p, has v mu <= (p - 1) 2^n < 2^b, q < p < 2^(b-n) and v - 2p <
-    q p <= v; so one product by mu, a shift and a mask take q in every field
-    at once, and v - q p < 2p loses one more p where adding 2^(b-1) - p
-    sets the top bit.  No carry or borrow crosses a field, the fields end
-    below p, and the number of steps does not depend on p.
+    each field v <= p^2 - p < 2^n.  As v mu <= (p - 1) 2^n < 2^b for mu =
+    2^n // p, one product, shift and mask give each field Barrett's q = v mu
+    >> n < p, v - 2p < q p <= v, and adding 2^(b-1) - p flags the fields
+    left >= p: no carry or borrow crosses a field, in steps fixed for all p.
     """
     p, b, n, mu, low, top, k = field
     mask = (1 << b) - 1
