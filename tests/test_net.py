@@ -234,9 +234,9 @@ def dot_product_points(g, n_points, m):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_digital_points_match_dot_products(p, monkeypatch):
     """With the block cap as it is, and small enough that depths up to 6
-    take many blocks (of one point each at cap 1): no point, one, one block
-    and one more, p^m - 1 (not a power of p once p^m > 2) and p^m, at
-    depths 0..6."""
+    take many blocks (of one point each at cap 1, of exactly the cap at
+    p^2): no point, one, one block and one more, p^m - 1 (not a power of p
+    once p^m > 2) and p^m, at depths 0..6."""
     rng = random.Random(p)
     # a family, a random upper unitriangular matrix and an explicit matrix,
     # dense, not triangular, with entries outside 0..p-1
@@ -247,7 +247,7 @@ def test_digital_points_match_dot_products(p, monkeypatch):
         g = gs(p, *(pool[(s + i) % 3] for i in range(s)))
         for m in range(7):
             want = dot_product_points(g, p ** m, m)
-            for cap in (net._BLOCK, p + 1) + ((1,) if m < 5 else ()):  # 1: a point a block
+            for cap in (net._BLOCK, p + 1, p ** 2) + ((1,) if m < 5 else ()):  # 1: a point a block
                 monkeypatch.setattr(net, "_BLOCK", cap)
                 block = p ** next(h for h in itertools.count() if p ** (h + 1) > min(p ** m, cap))
                 for n_points in {0, 1, block + 1, p ** m - 1, p ** m} - {p ** m + 1}:
