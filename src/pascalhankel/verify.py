@@ -18,7 +18,13 @@ sides are homogeneous in (a, b), so b = 1 suffices, and their coefficients
 in a, at most n max c^2 and c_ij 2^(e_ij), are certified below x = 2^K, so
 W(F(x)) W(F(1)) == W(F(x+1)) proves it (Kronecker substitution).  The
 hypothesis is checked at x, x + 1 and on each window of the grid, so every
-reported pair is covered; on any failure the pair loop names the pair.
+reported pair is covered; a failure names the first entry where it fails.
+
+det-m1a holds for all a != 0 and k: for i < n <= 2^r, entry (i, k+j) of M1(a)
+is a^(s2(k+j) - s2(i)) times entry (i, j) of W, the M1(1) window at shift k mod
+2^r, so by diagonal scaling its minor of order n is a^e det W(n), e = sum_(i<n)
+s2(k+i) - s2(i).  Each W the grid reaches is checked for minors +-1, each grid
+window for the scaling.
 """
 
 import functools
@@ -47,23 +53,13 @@ class VerificationReport:
         return not self.failures
 
     def fail(self, parameters: str, expected, actual):
-        self.failures.append({
-            "parameters": parameters,
-            "expected": str(expected),
-            "actual": str(actual),
-        })
+        self.failures.append({"parameters": parameters, "expected": str(expected),
+                              "actual": str(actual)})
 
     def to_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "parameter_grid": self.parameter_grid,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failures": self.failures,
-            "elapsed": self.elapsed,
-            "notes": self.notes,
-            "data": self.data,
-        }
+        return {"identity_id": self.identity_id, "parameter_grid": self.parameter_grid,
+                "checked": self.checked, "passed": self.passed, "failures": self.failures,
+                "elapsed": self.elapsed, "notes": self.notes, "data": self.data}
 
     def summary(self) -> str:
         status = "pass" if self.passed else f"FAIL ({len(self.failures)} failures)"
@@ -128,8 +124,8 @@ def _item2(report, a, n_max):
         return families.window_of(families.P1(c), n_max)
 
     power, p, found = (base := w(1)), 1, {}
-    for t, x in sorted(enumerate(_nonzero(a)), key=lambda tx: abs(tx[1])):
-        while p < abs(x):
+    for t, x in sorted(enumerate(_nonzero(a)), key=lambda tx: tx[1] ** 2):
+        while p ** 2 < x ** 2:
             power, p = exact.mat_mul(power, base), p + 1
         found[t] = VerificationReport("item2", "")
         target = families.rows(families.P1(max(x, 0)), n_max)
@@ -138,29 +134,32 @@ def _item2(report, a, n_max):
     report.failures += [f for t in sorted(found) for f in found[t].failures]
 
 
+def _differing(label, c, got, ones, f, g):
+    """fail() arguments for each entry (i, j) of the rows got other than c_ij c^(f_j - g_i), c_ij
+    the rows ones; a negative f_j - g_i, out of the power table, is a hypothesis failure."""
+    powers = [c ** e for e in range(max(f, default=0) - min(g, default=0) + 1)]
+
+    def failures(i, row, crow, gi):
+        want = [cij and cij * (powers[fj - gi] if fj >= gi else c ** (fj - gi))
+                for cij, fj in zip(crow, f)]
+        return () if row == want else [(f"{label}, entry ({i},{j})", w, v)
+                                       for j, (v, w) in enumerate(zip(row, want)) if v != w]
+
+    # map drops a row and its want before it reads the next row, and reads got to its end,
+    # so that a stream of product rows frees its factors
+    for found in map(failures, itertools.count(), got, ones, g):
+        yield from found
+
+
 def _refutations(kind, a, n):
     """fail() arguments for each entry at which the substitution proof (see the
     module docstring) fails on n x n windows, in the order it checks them."""
-    def differing(label, c, got):
-        # c^0 .. c^max(e_ij) once; a negative e_ij, out of the table, is a hypothesis failure
-        powers = [c ** e for e in range(max(e0, default=0) - min(e0, default=0) + 1)]
-
-        def failures(i, row, crow, g):
-            want = [cij and cij * (powers[f - g] if f >= g else c ** (f - g))
-                    for cij, f in zip(crow, e0)]
-            return () if row == want else [(f"{label}, entry ({i},{j})", w, v)
-                                           for j, (v, w) in enumerate(zip(row, want)) if v != w]
-
-        # map drops a row and its want before it reads the next row, and reads got to its end,
-        # so that a stream of product rows frees its factors
-        for found in map(failures, itertools.count(), got, lists(one), e0):
-            yield from found
-
     lists = lambda w: (list(w.entries[i:i + n]) for i in range(0, n * n, n))  # no n lists kept
     one = families.window_of(families.Family(kind, 1), n)
     k = (n * max(one.entries, default=0) ** 2).bit_length() or 1
     x, wx = 1 << k, families.window_of(families.Family(kind, 1 << k), n)
     e0 = [max(v.bit_length() - 1, 0) // k for v in wx.entries[:n]]  # e_0j; e_ij = e_0j - e_0i
+    differing = lambda label, c, got: _differing(label, c, got, lists(one), e0, e0)
     if any(cij < 0 or cij and (f < g or cij << f - g >= x)
            for crow, g in zip(lists(one), e0) for cij, f in zip(crow, e0)):
         yield f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside"
@@ -172,23 +171,17 @@ def _refutations(kind, a, n):
 
 
 def _group_law(kind, report, a, n_max):
-    """F(a) F(b) == F(a+b) for each pair of a x a, F the family kind, by the
-    substitution proof, else pair by pair, else the proof's first failure."""
-    refuted = next(_refutations(kind, a, n_max), None)
-    if refuted is None:
-        report.checked += len(a) ** 2 * n_max
-        return
-    w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    if _products(((f"a={x}, b={y}", w(x), w(y), families.rows(families.Family(kind, x + y), n_max))
-                  for x, y in itertools.product(a, a)), report, n_max):
+    """F(a) F(b) == F(a+b) for each pair of a x a, F of the kind, by the substitution proof."""
+    report.checked += len(a) ** 2 * n_max
+    if refuted := next(_refutations(kind, a, n_max), None):
         report.fail(*refuted)
 
 
-def _minors(windows, report, n_max, key=lambda d: d):
-    """key(minor of order n) == expected(n), n <= n_max, for each shifted window
-    (label, family, k, expected) by one fraction-free pass; a zero minor fails
-    the window with its order, after the minors below it.  Returns the signs
-    by label, zero-free windows only."""
+def _minors(windows, report, n_max):
+    """expected(n) == minor of order n, n <= n_max, for each shifted window (label, family,
+    k, expected) by one fraction-free pass, or +-1 where expected is None; a zero minor
+    fails the window with its order, after the minors below it.  Returns the signs by
+    label, zero-free windows only."""
     signs = {}
     for label, fam, k, expected in windows:
         report.checked += n_max
@@ -198,11 +191,11 @@ def _minors(windows, report, n_max, key=lambda d: d):
         except exact.SingularMinorError as err:
             minors = err.minors + [0]
         for n, det in enumerate(minors, start=1):
-            want, got = expected(n), key(det)
+            want = expected(n) if expected else 1 if det > 0 else -1
             if not det:
                 report.fail(label, "nonzero minor", f"zero minor of order {n}")
-            elif got != want:
-                report.fail(f"{label}, n={n}", want, got)
+            elif det != want:
+                report.fail(f"{label}, n={n}", want, det)
         if all(minors):
             signs[label] = [1 if d > 0 else -1 for d in minors]
     return signs
@@ -214,14 +207,21 @@ def _unimodular(fam, report, n_max, k_max):
 
 
 def _det_m1a(report, a, n_max, k_max):
-    """|det| of shifted windows of M1(a) matches the |a|^(s2(i+k)-s2(i))
-    product for nonzero a; the observed signs are recorded as data."""
-    def expected(x, k):
-        return lambda n: abs(x) ** sum(sequences.s2(i + k) - sequences.s2(i) for i in range(n))
-
-    signs = _minors([(f"a={x}, k={k}", families.M1(x), k, expected(x, k))
-                     for x in _nonzero(a) for k in range(k_max + 1)], report, n_max, abs)
-    report.data["signs"] = {label.replace(" ", ""): s for label, s in signs.items()}
+    """det-m1a for nonzero a by the module docstring's argument; sign(a)^e det W(n) is data."""
+    period, g = 1 << (n_max - 1).bit_length(), [sequences.s2(i) for i in range(n_max)]
+    ones = [list(families.rows(families.M1(1), n_max, n_max, k))
+            for k in range(min(k_max + 1, period))]
+    eps = _minors([(f"k={k}", families.M1(1), k, None) for k in range(len(ones))], report, n_max)
+    report.checked = len(_nonzero(a)) * (k_max + 1) * n_max  # the grid's windows only
+    signs = report.data["signs"] = {}
+    for x, k in itertools.product(_nonzero(a), range(k_max + 1)):
+        f = [sequences.s2(k + j) for j in range(n_max)]
+        rows = families.rows(families.M1(x), n_max, n_max, k)
+        if bad := next(_differing(f"a={x}, k={k}", x, rows, ones[k % period], f, g), None):
+            report.fail(*bad)
+        if s := eps.get(f"k={k % period}"):
+            e = itertools.accumulate(map(operator.sub, f, g))
+            signs[f"a={x},k={k}"] = [(-1) ** (d * (x < 0)) * t for d, t in zip(e, s)]
 
 
 def _hankel_h2(report, n_max):
@@ -286,7 +286,7 @@ IDENTITIES = {
     "det-m1a": Identity(
         _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
         lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {_nonzero(a)}",
-        "Sign is recorded as data; only |det| is predicted."),
+        "By diagonal scaling each minor is a^e eps(n, k mod 2^r), 2^r >= n_max, for all a, k."),
     # H1's minor of order n is (-1)^floor(n/2) = (-1)^(n(n-1)/2), D_k being (-1)^k (families.GRAM)
     "hankel-h1": Identity(
         functools.partial(_gram, families.H1, "H1", lambda n: (-1) ** (n // 2)),

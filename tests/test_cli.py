@@ -110,15 +110,15 @@ PINNED_STDOUT = {
     "matrix det --family H1 --n 20 --k 200":
         "bad511771e8389bfd7a9b606a826fd512a82bad0c0841dac747c1532298321ef",
     "verify det-m1a --json":
-        "b95dc2cc9c8fcdbba0f5c7f37e6a32b1daf70ad59870049b648ac5d8677772c2",
+        "a741bb57a5dcb351974a6a0de560773355fa55e19f270a2fe1070fc92f969fb7",
     "verify hankel-h1 --n-max 80 --json":
         "f8507747728b97e306224964d9e70e3d56f2c1fc765d2f8455153bca5e9ae958",
     "verify all --json":
-        "c6ad1e27dd372683e0ac4fbe299fdbdc72b74eab1d409d92b188c29cd32ad238",
+        "ac31f88d1f9531205d89ddd4a5b1c96d36347c3a51fe08e185b568e3af4aae04",
     "verify group-law-m1 --a-range=-2:2 --n-max 8 --json":
         "cc307c7dcf388684c35196449b48aa84e70c72287dd7867a448b988dfd062412",
     "verify det-m1a --a-range=-2:2 --json":
-        "fb1208fd4b096b58d0694d111f13b1a1ea793eb0503b65a47147c50962f9090b",
+        "8f49ec6598f6388879e8cb98047297ded975e3bb3a76e562a6e2307681982530",
     "verify item2 --a-range=-3:3 --n-max 12 --json":
         "0027b17755040f57d193ce0d13bc54d54468c98e32c929706141fe74a6567976",
     "verify item2 --a-range=-40:40 --n-max 24 --json":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -423,6 +424,23 @@ def unpacked(basis: dict, field: tuple, width: int) -> dict:
             for c, (time, row, inv) in basis.items()}
 
 
+@pytest.fixture
+def deadline():
+    """Fail the test after 30 s (it takes about 1 s): a reduction that left a field at p or
+    above would make exact._insert add the pivot forever instead of clearing the lead."""
+    def expire(signum, frame):
+        raise TimeoutError("exact._insert did not finish within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
 def test_shared_rank_loop_matches_span_enumeration():
     """The one F_p elimination, exact._insert on packed rows, and the list
     reference: a stack inserted with decreasing times keeps rank-many rows;
@@ -465,6 +483,7 @@ def test_shared_rank_loop_matches_span_enumeration():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+@pytest.mark.usefixtures("deadline")
 def test_packed_elimination_matches_the_list_reference():
     """exact._insert on packed rows against insert_lists at small and
     word-sized primes over widths 0..130: the same basis row for row, with

@@ -163,6 +163,20 @@ def test_cf_expand_l2_paperfolding_signs():
     assert signs == [seq.SEQUENCES["paperfolding"](i) for i in range(30)]
 
 
+@pytest.mark.parametrize("which", ["L1", "L2"])
+def test_cf_expand_quotients_in_closed_form_at_513_coefficients(which):
+    # L1 = 1/(X + L1) by the Catalan recurrence, so every quotient is X.  L2 is the
+    # limit of sums of X^-(2^(j+1)-1), each step a fold (Mendes France, Acta Arith. 23
+    # (1973); van der Poorten & Shallit, J. Number Theory 40 (1992)), so its quotients
+    # are pf(k) X, pf the paperfolding sequence.  513 coefficients certify 256
+    cf = laurent.cf_expand(laurent.build_L(which, 513), 1000)
+    pf = seq.SEQUENCES["paperfolding"]
+    alpha = [1 if which == "L1" else pf(k) for k in range(256)]
+    assert cf.integer_part.is_zero()
+    assert cf.partial_quotients == tuple(Poly.make([0, a]) for a in alpha)
+    assert cf.exhausted_precision
+
+
 def test_cf_expand_certified_quotient_count():
     # precision p certifies at least floor((p-1)/2) degree-1 quotients
     for p in (5, 10, 21, 40):

@@ -115,6 +115,16 @@ def test_paperfolding_closed_form_matches_doubling_recursion():
         paperfolding_by_doubling(5000)
 
 
+def test_paperfold_satisfies_the_doubling_recursion():
+    # the first 2^(J+1) - 1 terms are w, -1, then w reversed and negated, w the first
+    # 2^J - 1; not at J = 0, where w is empty but pf(0) = 1
+    pf = [seq._paperfold(i) for i in range(2 ** 16 - 1)]
+    for j in range(1, 16):
+        w = pf[:2 ** j - 1]
+        assert pf[:2 ** (j + 1) - 1] == w + [-1] + [-x for x in reversed(w)], j
+    assert pf[0] == 1
+
+
 def test_value_dispatch():
     assert seq.SEQUENCES["thue_morse"](3) == 0
     assert seq.SEQUENCES["catalan"](3) == 5

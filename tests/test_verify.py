@@ -76,7 +76,7 @@ def test_group_law_is_proved_by_one_product(identity_id, monkeypatch):
 
 def _pair_loop(kind, a, n_max):
     """The group law checked pair by pair, one product per pair of a x a and
-    each window built once, as verify falls back to."""
+    each window built once: an oracle that shares no step with the proof."""
     report = verify.VerificationReport("pair loop", "")
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
     verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y).to_rows())
@@ -87,7 +87,8 @@ def _pair_loop(kind, a, n_max):
 def test_group_law_reports_equal_the_pair_loop(monkeypatch):
     # small random grids, honest and with one entry raised at a grid parameter
     # (which some pair always exposes) or at 12, which no pair reaches and is
-    # never x = 2^K or x + 1
+    # never x = 2^K or x + 1: the proof passes exactly when the pair loop does,
+    # and counts the same windows
     rng = random.Random(1993)
     for trial in range(40):
         kind, n = rng.choice(["P1", "M1"]), rng.randint(1, 16)
@@ -98,8 +99,7 @@ def test_group_law_reports_equal_the_pair_loop(monkeypatch):
                 _corrupt(m, kind, at, rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
             report = verify.run_check(f"group-law-{kind.lower()}", a=a, n_max=n)
             oracle = _pair_loop(kind, a, n)
-        assert (report.checked, report.failures) == (oracle.checked, oracle.failures), \
-            (kind, n, a)
+        assert (report.passed, report.checked) == (oracle.passed, oracle.checked), (kind, n, a)
 
 
 @pytest.mark.parametrize("kind, k, i, j, expected", [
@@ -257,6 +257,38 @@ def test_det_formulas_m1a_reduces_to_unimodular_at_a1():
     assert report.passed
     for signs in report.data["signs"].values():
         assert set(signs) <= {1, -1}
+
+
+def test_det_m1a_eliminates_only_the_residues_of_the_period(monkeypatch):
+    # 2^r = 16 >= n_max = 10: the shifts k = 0..32 of every a reach 16 M1(1) windows
+    minors = _calls(monkeypatch, "leading_principal_minors")
+    report = verify.run_check("det-m1a")
+    assert report.passed
+    assert report.checked == 6 * 33 * 10
+    assert len(minors) <= 16
+    assert [w.entries for (w,) in minors] == [
+        families.window_of(families.M1(1), 10, 10, k).entries for k in range(16)]
+
+
+def test_det_m1a_zero_minor_fails_by_its_shift(monkeypatch):
+    # M1(1) with (1,1) made 0 has a zero minor of order 2 at k = 0, and the honest
+    # M1(2) no longer scales it; a failure (exit 1), not a SingularMinorError (exit 2)
+    _corrupt(monkeypatch, "M1", 1, 1, 1, -1)
+    report = verify.run_check("det-m1a", a=(2,), n_max=4, k_max=0)
+    assert report.failures == [_failure("k=0", "nonzero minor", "zero minor of order 2"),
+                               _failure("a=2, k=0, entry (1,1)", 0, 1)]
+    assert (report.checked, report.data) == (4, {"signs": {}})
+    args = ["verify", "det-m1a", "--a-range=2:2", "--n-max", "4", "--k-max", "0"]
+    assert cli.run(args, out=io.StringIO()) == 1
+
+
+def test_det_m1a_non_unit_minor_fails_by_its_shift(monkeypatch):
+    # entry (1,3) of M1(1) made 2 leaves the k = 0 window triangular, but makes the
+    # k = 1 window's minors 1, -1, -2, -1: the minor not +-1 fails, labelled by its shift
+    _corrupt(monkeypatch, "M1", 1, 1, 3)
+    report = verify.run_check("det-m1a", a=(1,), n_max=4, k_max=1)
+    assert report.failures == [_failure("k=1, n=3", -1, -2)]
+    assert report.checked == 2 * 4
 
 
 def test_det_m1a_signs_are_a_power_times_the_a1_minors():
@@ -570,14 +602,19 @@ CORRUPTED = {
     "item2-base": ("item2", {"a": (3,), "n_max": 4}, ("P1", 1, 0, 1),
                    {"parameters": "a=3, n=2, entry (0,1)",
                     "expected": "3", "actual": "6"}, 4),
-    # a grid parameter outside {1, x, x+1}: only the pair (2, 2) reaches P1(4)
+    # a grid parameter outside {1, x, x+1}: the hypothesis, checked on the window of
+    # a + b = 4, wants C(4,1) 4^3 = 256 at (1,4)
     "group-law-p1": ("group-law-p1", {"a": (1, 2), "n_max": 6}, ("P1", 4, 1, 4),
-                     {"parameters": "a=2, b=2, n=5, entry (1,4)",
-                      "expected": "257", "actual": "256"}, 4 * 6),
-    # only the pair (1, 1) multiplies M1(1) twice; (0,1), (0,3), ... differ
+                     {"parameters": "a=4, entry (1,4)",
+                      "expected": "256", "actual": "257"}, 4 * 6),
+    # M1(1) is the proof's W(F(1)): its (0,1) entry 2 makes the hypothesis want
+    # 2 x at x = 2^6, where M1(x) holds x
     "group-law-m1": ("group-law-m1", {"a": (0, 1), "n_max": 8}, ("M1", 1, 0, 1),
-                     {"parameters": "a=1, b=1, n=2, entry (0,1)",
-                      "expected": "2", "actual": "4"}, 4 * 8),
+                     {"parameters": "a=64, entry (0,1)",
+                      "expected": "128", "actual": "64"}, 4 * 8),
+    # the scaling wants 2^(s2(1) - s2(1)) times entry (1,1) of the M1(1) window at k = 0
+    "det-m1a": ("det-m1a", {"a": (2,), "n_max": 4, "k_max": 0}, ("M1", 2, 1, 1),
+                {"parameters": "a=2, k=0, entry (1,1)", "expected": "1", "actual": "2"}, 4),
     "item1": ("item1", {"n_max": 5}, ("P2", 0, 2, 1),
               {"parameters": "P1^T P1, n=3, entry (2,1)",
                "expected": "4", "actual": "3"}, 5),
@@ -637,10 +674,6 @@ CORRUPTED_MINORS = {
     "det-m2-zero-minor": ("det-m2", {"n_max": 5}, ("M2", 0, 2, 2, 1),
                           [_failure("M2", "nonzero minor", "zero minor of order 3")],
                           5, {}),
-    # only |det| is predicted; the signs stay data
-    "det-m1a": ("det-m1a", {"a": (2,), "n_max": 4, "k_max": 0}, ("M1", 2, 1, 1, 1),
-                [_failure(f"a=2, k=0, n={n}", 1, 2) for n in (2, 3, 4)],
-                4, {"signs": {"a=2,k=0": [1, 1, 1, 1]}}),
     "hankel-h1-zero-minor": ("hankel-h1", {"n_max": 6}, ("H1", 0, 0, 0, -1),
                              [_failure("H1", "nonzero minor", "zero minor of order 1")],
                              6, {}),
