@@ -7,6 +7,7 @@ errors, 3 on internal errors.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -50,8 +51,8 @@ def _int_type(ok, wanted: str):
 
 _nonnegative = _int_type(lambda value: value >= 0, "an integer >= 0")
 _positive = _int_type(lambda value: value >= 1, "an integer >= 1")
-# bounded, as is_prime trial-divides: below 2^32 it takes a few milliseconds
-_prime = _int_type(lambda p: p < 2 ** 32 and exact.is_prime(p), "a prime below 2^32")
+# a prime that fits a machine word: is_prime decides it by twelve modular powers
+_prime = _int_type(lambda p: p < 2 ** 64 and exact.is_prime(p), "a prime below 2^64")
 
 
 def _point_set(lines) -> net.PointSet:
@@ -201,7 +202,10 @@ def _cmd_cf(args, out) -> int:
 
 
 def _cmd_seq(args, out) -> int:
-    values = [str(sequences.SEQUENCES[args.kind](i)) for i in range(args.count)]
+    row = sequences.SEQUENCES[args.kind]
+    text = getattr(row, "text", None)  # the Catalan rows' digits, linear in their length
+    values = (list(itertools.islice(text(), args.count)) if text
+              else [str(row(i)) for i in range(args.count)])
     print(json.dumps(values), file=out)
     return 0
 

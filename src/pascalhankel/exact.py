@@ -240,8 +240,30 @@ def ldu_decompose(a: ExactMatrix) -> LDUFactors:
     )
 
 
+# no composite below _PSI12 is a strong probable prime to all of the first twelve primes
+# (Sorenson & Webster, Math. Comp. 86 (2017)); _PSI12 itself is one
+_BASES, _PSI12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+    """Exact: trial division below 37^2, else the strong-probable-prime test to _BASES.
+    Raises ValueError from _PSI12 on, where that test is no longer a proof."""
+    if p < 37 ** 2:
+        return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+    if p >= _PSI12:
+        raise ValueError(f"primality is decided below {_PSI12} only")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+    for b in _BASES:
+        x = pow(b, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def rank_mod_p(a: ExactMatrix, p: int) -> int:

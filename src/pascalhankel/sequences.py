@@ -1,5 +1,8 @@
 """Integer and +-1 sequence generators behind the matrix families."""
 
+import decimal
+import itertools
+
 # C_0, C_1, ...: every Catalan number computed so far, in order
 _CATALAN = [1]
 
@@ -36,6 +39,31 @@ def catalan_interspersed(k: int) -> int:
     half = k // 2
     value = catalan(half)
     return -value if half % 2 else value
+
+
+def _catalan_text():
+    """str(C_0), str(C_1), ... by catalan's recurrence in exact decimal arithmetic, where a
+    product or quotient by a small int and str() take linear time (str of an int is
+    quadratic in its digits).  A step that is not exact raises, so no wrong digit prints."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    c = decimal.Decimal(1)
+    for j in itertools.count(1):
+        yield str(c)
+        c, r = ctx.divmod(ctx.multiply(c, 2 * (2 * j - 1)), j + 1)
+        if r:
+            raise ArithmeticError(f"C_{j} is not an integer")
+
+
+def _catalan_interspersed_text():
+    for half, c in enumerate(_catalan_text()):
+        yield "-" + c if half % 2 else c
+        yield "0"
+
+
+# a row's .text, where it has one, yields str(row(0)), str(row(1)), ... in linear time
+catalan.text = _catalan_text
+catalan_interspersed.text = _catalan_interspersed_text
 
 
 def _paperfold(i: int) -> int:

@@ -34,6 +34,7 @@ import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import exact, families, sequences
 
@@ -140,7 +141,7 @@ def _differing(label, c, got, ones, f, g):
     powers = [c ** e for e in range(max(f, default=0) - min(g, default=0) + 1)]
 
     def failures(i, row, crow, gi):
-        want = [cij and cij * (powers[fj - gi] if fj >= gi else c ** (fj - gi))
+        want = [cij and cij * (powers[fj - gi] if fj >= gi else Fraction(c) ** (fj - gi))
                 for cij, fj in zip(crow, f)]
         return () if row == want else [(f"{label}, entry ({i},{j})", w, v)
                                        for j, (v, w) in enumerate(zip(row, want)) if v != w]

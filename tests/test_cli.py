@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pascalhankel import cli, families, verify
+from pascalhankel import cli, families, sequences, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -140,6 +140,10 @@ PINNED_STDOUT = {
     "net points --p 3 --dims M1:a=0,M1:a=1,M1:a=2 --m 6 --n 729":
         "54288989c6ab60c59335aceb054f4b903f2b42818638886b9487be325af723c0",
     # the sequence rows behind H1/H2 and L1/L2, and windows read from them
+    "seq catalan --count 200":
+        "21f0deb4c96904f36cada65939c415712990d3491a23b95c57c97109b6dce14c",
+    "seq catalan --count 3000":
+        "99a1e33f43a5f5afd000bf875d7800d68f6f4a91af9be2d83dd86676ebea8d64",
     "seq catalan_interspersed --count 200":
         "83c9189944423aa3195cf1ea08f55c6b2ef771285badd191cebe6e8ab5f13c19",
     "seq catalan_interspersed_mod2 --count 200":
@@ -169,6 +173,10 @@ def test_matrix_rank_and_ldu():
     code, out = run(["matrix", "rank", "--family", "M2", "--n", "4", "--p", "2"])
     assert code == 0
     assert out.strip() == "4"
+    # any prime below 2^64 is a field, up to the largest, 2^64 - 59
+    for p in (10 ** 18 + 3, 2 ** 64 - 59):
+        code, out = run(["matrix", "rank", "--family", "P1:a=3", "--n", "8", "--p", str(p)])
+        assert (code, out.strip()) == (0, "8")
     code, out = run(["matrix", "ldu", "--family", "M2", "--n", "4"])
     assert code == 0
     assert "D: 1,-1,-1,1" in out
@@ -237,6 +245,13 @@ def test_seq_dump():
     code, out = run(["seq", "paperfolding", "--count", "3"])
     assert code == 0
     assert json.loads(out) == ["1", "-1", "-1"]
+
+    # the Catalan rows print from their decimal text; the shortest counts end mid-pair
+    for kind in ("catalan", "catalan_interspersed"):
+        for count in (1, 2, 3):
+            code, out = run(["seq", kind, "--count", str(count)])
+            assert code == 0
+            assert json.loads(out) == [str(sequences.SEQUENCES[kind](i)) for i in range(count)]
 
 
 def test_net_t_value():
@@ -318,7 +333,7 @@ def test_verify_usage_error_exit_code(argv, capsys):
     "matrix det --family M2 --n -1",        # negative sizes
     "matrix show --family M2 --n 2 --k -1",
     "matrix rank --family M2 --n 3 --p 4",  # non-prime bases
-    "matrix rank --family M2 --n 2 --p 1000000000000000003",  # a prime, but not below 2^32
+    "matrix rank --family M2 --n 2 --p 18446744073709551629",  # a prime, 2^64 + 13
     "net t-value --p 4 --dims P1 --m-max 2",
     "net search --p 4 --budget 1",
     "net points --p 2 --dims P1 --m 2 --n 9",  # more points than p^m
@@ -383,8 +398,6 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
     # a ValueError from inside the program is internal, not a usage mistake,
     # and an unexpected exception is an internal error too, never exit 1
-    from pascalhankel import sequences
-
     for error in (ValueError, TypeError):
         def crash(i, error=error):
             raise error("boom")
@@ -393,6 +406,19 @@ def test_internal_error_exit_code(monkeypatch, capsys):
         code, _ = run(["seq", "catalan", "--count", "2"])
         assert code == 3
     assert "TypeError: boom" in capsys.readouterr().err
+
+
+def test_inexact_decimal_step_exits_3(monkeypatch, capsys):
+    # a recurrence step that rounds (here at a 5-digit precision) prints no digit
+    import decimal
+    import types
+
+    monkeypatch.setattr(sequences, "decimal",
+                        types.SimpleNamespace(**{**vars(decimal), "MAX_PREC": 5}))
+    for kind in ("catalan", "catalan_interspersed"):
+        code, out = run(["seq", kind, "--count", "30"])
+        assert (code, out) == (3, "")
+    assert "error:" in capsys.readouterr().err
 
 
 def test_readme_matches_the_cli():

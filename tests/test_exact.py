@@ -366,6 +366,33 @@ def test_is_prime_matches_a_sieve():
     assert [exact.is_prime(p) for p in range(-5, limit + 1)] == [False] * 5 + sieve
 
 
+def test_is_prime_on_pseudoprimes_squares_and_large_primes():
+    # strong pseudoprimes to the bases 2; 2, 3, 5, 7; 2, 3, ..., 31; Carmichael numbers
+    # below and above the trial-division range; squares of primes
+    composites = [2047, 3215031751, 3825123056546413051, 561, 1729, 8911, 41041,
+                  37 ** 2, 65521 ** 2, 4294967291 ** 2, (2 ** 31 - 1) ** 2]
+    primes = [2 ** 61 - 1, 2 ** 64 - 59, 2 ** 64 + 13, 10 ** 18 + 3, 4294967291, 65521]
+    assert not any(map(exact.is_prime, composites))
+    assert all(map(exact.is_prime, primes))
+    rng = random.Random(5)
+    small = [p for p in range(10 ** 5, 10 ** 5 + 3000) if exact.is_prime(p)]
+    for _ in range(200):  # semiprimes near 10^10, past every base
+        p, q = rng.choice(small), rng.choice(small)
+        assert not exact.is_prime(p * q)
+
+
+def test_is_prime_refuses_the_first_twelve_base_pseudoprime():
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes the strong test to
+    # every one of the first twelve primes (n - 1 = 4 d, d odd), so from there on that
+    # test proves nothing and is_prime refuses to answer
+    n = 399165290221 * 798330580441
+    d = (n - 1) // 4
+    assert d % 2 == 1
+    assert all(pow(b, d, n) in (1, n - 1) or pow(b, 2 * d, n) == n - 1 for b in exact._BASES)
+    with pytest.raises(ValueError):
+        exact.is_prime(n)
+
+
 def test_rank_mod_p_requires_prime():
     with pytest.raises(ValueError):
         exact.rank_mod_p(exact.window(lambda i, j: int(i == j), 2), 6)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
+import types
 
 import pytest
 
@@ -123,6 +126,26 @@ def test_paperfold_satisfies_the_doubling_recursion():
         w = pf[:2 ** j - 1]
         assert pf[:2 ** (j + 1) - 1] == w + [-1] + [-x for x in reversed(w)], j
     assert pf[0] == 1
+
+
+def test_decimal_text_matches_str_of_each_term():
+    rows = {kind: f for kind, f in seq.SEQUENCES.items() if hasattr(f, "text")}
+    assert set(rows) == {"catalan", "catalan_interspersed"}
+    for kind, f in rows.items():
+        assert list(itertools.islice(f.text(), 3000)) == [str(f(i)) for i in range(3000)], kind
+
+
+def test_decimal_text_raises_on_an_inexact_step(monkeypatch):
+    # C_0 = 1.5 makes the first quotient 3.0 / 2 leave a remainder, and a precision of 5
+    # digits makes the product 4862 * 38 on the way to C_10 round: both raise
+    fake = lambda **change: types.SimpleNamespace(**{**vars(decimal), **change})
+    monkeypatch.setattr(seq, "decimal", fake(Decimal=lambda _: decimal.Decimal("1.5")))
+    with pytest.raises(ArithmeticError, match="C_1 is not an integer"):
+        list(itertools.islice(seq.catalan.text(), 2))
+    monkeypatch.setattr(seq, "decimal", fake(MAX_PREC=5))
+    assert list(itertools.islice(seq.catalan.text(), 10))[-1] == "4862"
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        list(itertools.islice(seq.catalan.text(), 11))
 
 
 def test_value_dispatch():

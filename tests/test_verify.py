@@ -506,7 +506,8 @@ def test_power_table_leaves_negative_exponents_to_pow(monkeypatch):
     x = 2 ** (4 * 3 ** 2).bit_length()
     assert refuted[0] == (f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{x.bit_length() - 1})",
                           "a coefficient outside")
-    assert (f"a={x}, entry (3,1)", x ** -2, 0) in refuted
+    want = next(w for label, w, _ in refuted if label == f"a={x}, entry (3,1)")
+    assert type(want) is Fraction and str(want) == f"1/{x ** 2}"
 
 
 def test_ldu_of_m2_diagonal_is_thue_morse_signs():
@@ -615,6 +616,10 @@ CORRUPTED = {
     # the scaling wants 2^(s2(1) - s2(1)) times entry (1,1) of the M1(1) window at k = 0
     "det-m1a": ("det-m1a", {"a": (2,), "n_max": 4, "k_max": 0}, ("M1", 2, 1, 1),
                 {"parameters": "a=2, k=0, entry (1,1)", "expected": "1", "actual": "2"}, 4),
+    # M1(1)'s entry (3,4) made 1: the scaling wants 2^(s2(4) - s2(3)) = 1/2 there, exactly
+    "det-m1a-negative-exponent": ("det-m1a", {"a": (2,), "n_max": 5, "k_max": 0},
+                                  ("M1", 1, 3, 4), {"parameters": "a=2, k=0, entry (3,4)",
+                                                    "expected": "1/2", "actual": "0"}, 5),
     "item1": ("item1", {"n_max": 5}, ("P2", 0, 2, 1),
               {"parameters": "P1^T P1, n=3, entry (2,1)",
                "expected": "4", "actual": "3"}, 5),
