@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Verbs: matrix, verify, cf, seq, net.  Deterministic output for fixed
-flags; exit status 0 on success, 1 on verification failure, 2 on usage
-errors, 3 on internal errors.
+Verbs: matrix, verify, cf, seq, net.  Output depends only on the flags,
+except verify's wall time, `elapsed`; exit status 0 on success, 1 on
+verification failure, 2 on usage errors, 3 on internal errors.
 """
 
 import argparse

@@ -46,11 +46,6 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         return ExactMatrix(n, m, tuple(x for r in rows for x in r))
 
-    def get(self, i: int, j: int):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]

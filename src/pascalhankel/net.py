@@ -1,7 +1,7 @@
 """Digital (t,s)-sequence machinery over F_p.
 
 Per-depth t-values from stacked-rank qualification, digital-method
-point generation with exact rational coordinates, exact star discrepancy
+point generation as integer numerators over p^m, exact star discrepancy
 in dimensions 1 and 2, and a search harness for a third base-3 generating
 matrix.
 """
@@ -170,13 +170,6 @@ def points(gs: GeneratingSet, n_points: int, m: int):
                 acc = [a * p + (y + off) % p for a, y in zip(acc, plane)]
             coords.append(acc)
         yield from itertools.islice(zip(*coords), n_points - q)
-
-
-def digital_points(gs: GeneratingSet, n_points: int, m: int) -> PointSet:
-    """The first n_points points of the digital sequence at depth m."""
-    denom = gs.p ** m
-    return PointSet(len(gs.generators), tuple(tuple(Fraction(x, denom) for x in pt)
-                                              for pt in points(gs, n_points, m)))
 
 
 def star_discrepancy(ps: PointSet) -> Fraction:

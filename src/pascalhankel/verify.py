@@ -68,25 +68,16 @@ class VerificationReport:
                 f"[checked {self.checked}, {self.elapsed:.2f}s] {self.parameter_grid}")
 
 
-def _products(checks, report, n_max):
-    """left right == target for each (label, left, right, target), target the rows of a
-    window as lists, each row of the n_max x n_max product compared as it is formed.  That
-    settles every upper-left block at once: block n holds (i, j) exactly when max(i, j) < n,
-    so the differing entry least in (max(i, j), i, j) is reported.  Returns report.passed."""
-    for label, left, right, target in checks:
-        report.checked += n_max
-        first = min((min((max(i, j), i, j, want[j], row[j]) for j in range(n_max)
-                         if want[j] != row[j])
-                     for i, (row, want) in enumerate(zip(exact.product_rows(left, right), target))
-                     if row != want), default=None)
-        if first:
-            _, i, j, want, got = first
-            report.fail(f"{label}, n={max(i, j) + 1}, entry ({i},{j})", want, got)
-    return report.passed
-
-
-def _nonzero(a) -> tuple:
-    return tuple(x for x in a if x)
+def _first_difference(label, rows, target):
+    """fail() arguments for the entry, least in (max(i, j), i, j), at which the rows of a
+    square window differ from target's, compared a row at a time as rows yields them; None
+    if none does.  Block n holds (i, j) exactly when max(i, j) < n, so one pass over the
+    largest product settles every upper-left block and names the smallest that fails."""
+    first = min((min((max(i, j), i, j, w, v) for j, (v, w) in enumerate(zip(row, want)) if v != w)
+                 for i, (row, want) in enumerate(zip(rows, target)) if row != want), default=None)
+    if first:
+        _, i, j, want, got = first
+        return f"{label}, n={max(i, j) + 1}, entry ({i},{j})", want, got
 
 
 def _a_text(a) -> str:
@@ -101,13 +92,15 @@ def _gram(target, label, expected, report, n_max):
     D_0...D_(n-1) == expected(n), signs kept as data; else _minors reports them."""
     lower, d = families.GRAM[target.kind](n_max)
     e, minors = lower.entries, list(itertools.accumulate(d, operator.mul))
-    checks = [(label, lower, exact.ExactMatrix(n_max, n_max, tuple(
-        x * v for l, x in enumerate(d) for v in e[l::n_max])), families.rows(target, n_max))]
+    difference = lambda: _first_difference(label, exact.product_rows(lower, exact.ExactMatrix(
+        n_max, n_max, tuple(x * v for l, x in enumerate(d) for v in e[l::n_max]))),
+        families.rows(target, n_max))  # the one product, taken only where it decides
     if expected is None:
-        _products(checks, report, n_max)
+        report.checked += n_max
+        if bad := difference():
+            report.fail(*bad)
     elif (all(e[i * n_max + j] == (i == j) for i in range(n_max) for j in range(i, n_max))
-            and minors == [expected(n) for n in range(1, n_max + 1)]
-            and _products(checks, VerificationReport(label, ""), n_max)):
+            and minors == [expected(n) for n in range(1, n_max + 1)] and not difference()):
         report.checked += n_max
         report.data["signs"] = [1 if m > 0 else -1 for m in minors]
     elif label in (signs := _minors([(label, target, 0, expected)], report, n_max)):
@@ -124,15 +117,16 @@ def _item2(report, a, n_max):
     def w(c):
         return families.window_of(families.P1(c), n_max)
 
-    power, p, found = (base := w(1)), 1, {}
-    for t, x in sorted(enumerate(_nonzero(a)), key=lambda tx: tx[1] ** 2):
+    power, p, found = (base := w(1)), 1, []
+    for t, x in sorted(enumerate(filter(None, a)), key=lambda tx: tx[1] ** 2):
         while p ** 2 < x ** 2:
             power, p = exact.mat_mul(power, base), p + 1
-        found[t] = VerificationReport("item2", "")
+        report.checked += n_max
         target = families.rows(families.P1(max(x, 0)), n_max)
-        _products([(f"a={x}", w(min(x, 0)), power, target)], found[t], n_max)
-    report.checked += n_max * len(found)
-    report.failures += [f for t in sorted(found) for f in found[t].failures]
+        if bad := _first_difference(f"a={x}", exact.product_rows(w(min(x, 0)), power), target):
+            found.append((t, bad))
+    for _, bad in sorted(found):  # in grid order
+        report.fail(*bad)
 
 
 def _differing(label, c, got, ones, f, g):
@@ -213,9 +207,10 @@ def _det_m1a(report, a, n_max, k_max):
     ones = [list(families.rows(families.M1(1), n_max, n_max, k))
             for k in range(min(k_max + 1, period))]
     eps = _minors([(f"k={k}", families.M1(1), k, None) for k in range(len(ones))], report, n_max)
-    report.checked = len(_nonzero(a)) * (k_max + 1) * n_max  # the grid's windows only
+    a = tuple(filter(None, a))
+    report.checked = len(a) * (k_max + 1) * n_max  # the grid's windows only
     signs = report.data["signs"] = {}
-    for x, k in itertools.product(_nonzero(a), range(k_max + 1)):
+    for x, k in itertools.product(a, range(k_max + 1)):
         f = [sequences.s2(k + j) for j in range(n_max)]
         rows = families.rows(families.M1(x), n_max, n_max, k)
         if bad := next(_differing(f"a={x}, k={k}", x, rows, ones[k % period], f, g), None):
@@ -286,7 +281,7 @@ IDENTITIES = {
         {"n_max": 64}, "n <= {n_max}".format),
     "det-m1a": Identity(
         _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
-        lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {_nonzero(a)}",
+        lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {tuple(filter(None, a))}",
         "By diagonal scaling each minor is a^e eps(n, k mod 2^r), 2^r >= n_max, for all a, k."),
     # H1's minor of order n is (-1)^floor(n/2) = (-1)^(n(n-1)/2), D_k being (-1)^k (families.GRAM)
     "hankel-h1": Identity(

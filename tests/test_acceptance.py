@@ -90,13 +90,13 @@ def test_criterion_6_continued_fractions():
 
 def test_criterion_7_digital_method():
     t0 = time.time()
-    from test_net import least_t_by_box_counts
+    from test_net import digital_point_set, least_t_by_box_counts
 
     vdc = net.GeneratingSet(2, (fam.P1(0),))
-    pts = [pt[0] for pt in net.digital_points(vdc, 8, 3).points]
+    pts = [Fraction(x, 8) for (x,) in net.points(vdc, 8, 3)]
     ok = pts == [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
                  Fraction(1, 8), Fraction(5, 8), Fraction(3, 8), Fraction(7, 8)]
-    ok = ok and net.star_discrepancy(net.digital_points(vdc, 4, 3)) == Fraction(1, 4)
+    ok = ok and net.star_discrepancy(digital_point_set(vdc, 4, 3)) == Fraction(1, 4)
     # box counting for every t=0 report from criterion 5 with p^m <= 729
     sets = []
     for p in (2, 3, 5):

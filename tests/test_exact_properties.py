@@ -99,7 +99,8 @@ def product_pairs(draw):
 @given(product_pairs())
 def test_mat_mul_matches_triple_sum(pair):
     a, b = pair
-    want = tuple(sum(a.get(i, l) * b.get(l, j) for l in range(a.cols))
+    a_rows, b_rows = a.to_rows(), b.to_rows()
+    want = tuple(sum(a_rows[i][l] * b_rows[l][j] for l in range(a.cols))
                  for i in range(a.rows) for j in range(b.cols))
     product = exact.mat_mul(a, b)
     assert (product.rows, product.cols, product.entries) == (a.rows, b.cols, want)

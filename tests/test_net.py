@@ -22,6 +22,14 @@ def gs(p, *gens):
     return net.GeneratingSet(p, tuple(gens))
 
 
+def digital_point_set(g, n_points, m):
+    """net.points' numerators over p^m as the PointSet of Fractions that
+    star_discrepancy reads."""
+    d = g.p ** m
+    return net.PointSet(len(g.generators), tuple(tuple(Fraction(x, d) for x in pt)
+                                                 for pt in net.points(g, n_points, m)))
+
+
 def test_generating_set_validation():
     with pytest.raises(ValueError):
         net.GeneratingSet(4, (fam.P1(0),))
@@ -121,7 +129,7 @@ def test_t_value_explicit_matrix_generator():
     with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
         net.t_value(short, 6)
     with pytest.raises(ValueError, match="generator is 4x4, smaller than depth 6"):
-        net.digital_points(short, 3, 6)
+        next(net.points(short, 3, 6))
 
 
 def t_values_by_fresh_search(g, m_max):
@@ -189,12 +197,13 @@ def least_t_by_box_counts(g, m):
     """Least t for which every elementary interval of volume p^(t-m)
     holds exactly p^t of the first p^m points, counted box by box."""
     p = g.p
-    ps = net.digital_points(g, p ** m, m)
-    # p^m points in p^(m-t) boxes: all hold p^t when every nonempty one does
+    pts = list(net.points(g, p ** m, m))
+    # p^m points in p^(m-t) boxes: all hold p^t when every nonempty one does;
+    # the box of numerator x over p^m at depth d is x // p^(m-d)
     for t in range(m + 1):
-        if all(set(Counter(tuple(math.floor(x * p ** d) for x, d in zip(pt, comp))
-                           for pt in ps.points).values()) == {p ** t}
-               for comp in compositions(m - t, ps.s)):
+        if all(set(Counter(tuple(x // p ** (m - d) for x, d in zip(pt, comp))
+                           for pt in pts).values()) == {p ** t}
+               for comp in compositions(m - t, len(g.generators))):
             return t
 
 
@@ -213,9 +222,9 @@ def test_t_value_matches_box_counts_on_random_generators():
 
 
 def dot_product_points(g, n_points, m):
-    """Independent oracle: coordinate i of point n is 0.y_1 ... y_m with
-    each digit y_r the dot product of row r of C_i with the base-p digits
-    of n, mod p."""
+    """Independent oracle: coordinate i of point n is 0.y_1 ... y_m, as its
+    numerator over p^m, with each digit y_r the dot product of row r of C_i
+    with the base-p digits of n, mod p."""
     p = g.p
     windows = g.windows(m)
     pts = []
@@ -226,7 +235,7 @@ def dot_product_points(g, n_points, m):
             num = 0
             for row in c:
                 num = num * p + sum(map(operator.mul, row, digits)) % p
-            coords.append(Fraction(num, p ** m))
+            coords.append(num)
         pts.append(tuple(coords))
     return pts
 
@@ -251,9 +260,9 @@ def test_digital_points_match_dot_products(p, monkeypatch):
                 monkeypatch.setattr(net, "_BLOCK", cap)
                 block = p ** next(h for h in itertools.count() if p ** (h + 1) > min(p ** m, cap))
                 for n_points in {0, 1, block + 1, p ** m - 1, p ** m} - {p ** m + 1}:
-                    ps = net.digital_points(g, n_points, m)
-                    assert ps.s == s
-                    assert list(ps.points) == want[:n_points], (s, m, cap, n_points)
+                    got = list(net.points(g, n_points, m))
+                    assert all(len(pt) == s for pt in got)
+                    assert got == want[:n_points], (s, m, cap, n_points)
 
 
 @pytest.mark.parametrize("p, m", [(2, 11), (3, 8)])
@@ -269,7 +278,7 @@ def test_digital_points_match_dot_products_past_the_block_cap(p, m):
     assert block <= net._BLOCK < p * block < p ** m
     want = dot_product_points(g, p ** m, m)
     for n_points in (block + 1, p ** m - 1, p ** m):
-        assert list(net.digital_points(g, n_points, m).points) == want[:n_points]
+        assert list(net.points(g, n_points, m)) == want[:n_points]
 
 
 def test_first_point_peaks_below_a_bound_that_does_not_grow_with_n_points():
@@ -306,36 +315,32 @@ def test_blocks_stay_within_the_cap_at_primes_near_and_past_it(p, m):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [tuple(Fraction(x, p ** m) for x in pt) for pt in got] == \
-            dot_product_points(g, n_points, m), (p, n_points)
+        assert got == dot_product_points(g, n_points, m), (p, n_points)
         assert peak < 1024 * 1024, (p, n_points, peak)
 
 
 def test_digital_points_van_der_corput():
-    ps = net.digital_points(gs(2, fam.P1(0)), 8, 3)
-    assert [pt[0] for pt in ps.points] == \
-        [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
-         Fraction(1, 8), Fraction(5, 8), Fraction(3, 8), Fraction(7, 8)]
+    # 0, 1/2, 1/4, 3/4, 1/8, 5/8, 3/8, 7/8 as numerators over 8
+    assert [x for (x,) in net.points(gs(2, fam.P1(0)), 8, 3)] == [0, 4, 2, 6, 1, 5, 3, 7]
 
 
 def test_digital_points_origin_and_bounds():
     g = gs(3, fam.M1(1), fam.M1(2))
-    ps = net.digital_points(g, 9, 2)
-    assert ps.points[0] == (Fraction(0), Fraction(0))
-    for pt in ps.points:
-        for x in pt:
-            assert 0 <= x < 1
-            assert 9 % x.denominator == 0
+    pts = list(net.points(g, 9, 2))
+    assert pts[0] == (0, 0)
+    for pt in pts:
+        for x in pt:  # a numerator over 9
+            assert type(x) is int and 0 <= x < 9
     with pytest.raises(ValueError):
-        net.digital_points(g, 10, 2)
+        next(net.points(g, 10, 2))
 
 
 def test_faure_pair_is_a_net_at_depth_2():
     g = gs(2, fam.P1(0), fam.P1(1))
-    ps = net.digital_points(g, 4, 2)
+    pts = list(net.points(g, 4, 2))
     # each of the four aligned boxes of area 1/4 contains one point
     for d1, d2 in ((2, 0), (1, 1), (0, 2)):
-        boxes = {(x * 2 ** d1 // 1, y * 2 ** d2 // 1) for x, y in ps.points}
+        boxes = {(x * 2 ** d1 // 4, y * 2 ** d2 // 4) for x, y in pts}
         assert len(boxes) == 4
     assert least_t_by_box_counts(g, 2) == 0
 
@@ -354,7 +359,7 @@ def test_star_discrepancy_dim1():
     n = 8
     lattice = ps(*[Fraction(k, n) for k in range(n)])
     assert net.star_discrepancy(lattice) == Fraction(1, n)
-    vdc4 = net.digital_points(gs(2, fam.P1(0)), 4, 2)
+    vdc4 = digital_point_set(gs(2, fam.P1(0)), 4, 2)
     assert net.star_discrepancy(vdc4) == Fraction(1, 4)
 
 
@@ -415,12 +420,12 @@ def test_star_discrepancy_matches_box_enumeration(ps):
 @pytest.mark.parametrize("p, dims, m", [(2, (fam.P1(0), fam.P1(1)), 5),
                                         (3, (fam.M1(1), fam.M1(2)), 3)])
 def test_star_discrepancy_of_digital_points_matches_box_enumeration(p, dims, m):
-    ps = net.digital_points(gs(p, *dims), p ** m, m)
+    ps = digital_point_set(gs(p, *dims), p ** m, m)
     assert net.star_discrepancy(ps) == star_discrepancy_by_boxes(ps)
 
 
 def test_star_discrepancy_pinned_at_1024_points():
-    ps = net.digital_points(gs(2, fam.P1(0), fam.P1(1)), 1024, 10)
+    ps = digital_point_set(gs(2, fam.P1(0), fam.P1(1)), 1024, 10)
     assert net.star_discrepancy(ps) == Fraction(1127, 262144)
 
 
@@ -442,7 +447,7 @@ def test_star_discrepancy_dim2_dominates_sampled_boxes():
 
 def test_van_der_corput_discrepancy_envelope():
     import math as _math
-    vdc = net.digital_points(gs(2, fam.P1(0)), 1024, 10)
+    vdc = digital_point_set(gs(2, fam.P1(0)), 1024, 10)
     for n in list(range(1, 257)) + [512, 1024]:
         ps = net.PointSet(1, vdc.points[:n])
         d = net.star_discrepancy(ps)

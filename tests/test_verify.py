@@ -17,10 +17,12 @@ from fractions import Fraction
 import pytest
 
 from pascalhankel import cli, exact, families, laurent, sequences, verify
+from test_exact import leading_block
 
 
 def transpose(a):
-    return exact.window(lambda i, j: a.get(j, i), a.cols, a.rows)
+    rows = a.to_rows()
+    return exact.window(lambda i, j: rows[j][i], a.cols, a.rows)
 
 
 def _calls(monkeypatch, name):
@@ -77,10 +79,12 @@ def test_group_law_is_proved_by_one_product(identity_id, monkeypatch):
 def _pair_loop(kind, a, n_max):
     """The group law checked pair by pair, one product per pair of a x a and
     each window built once: an oracle that shares no step with the proof."""
-    report = verify.VerificationReport("pair loop", "")
+    report = verify.VerificationReport("pair loop", "", checked=len(a) ** 2 * n_max)
     w = functools.cache(lambda c: families.window_of(families.Family(kind, c), n_max))
-    verify._products(((f"a={x}, b={y}", w(x), w(y), w(x + y).to_rows())
-                      for x, y in itertools.product(a, a)), report, n_max)
+    for x, y in itertools.product(a, a):
+        if bad := verify._first_difference(f"a={x}, b={y}", exact.product_rows(w(x), w(y)),
+                                           w(x + y).to_rows()):
+            report.fail(*bad)
     return report
 
 
@@ -428,7 +432,7 @@ def test_stieltjes_factors_are_the_ldu_of_the_hankel_windows(kind):
     lower, d = families.GRAM[kind](64)
     assert (factors.L, list(factors.D), factors.U) == (lower, d, transpose(lower))
     for n in (1, 2, 5, 17):
-        assert families.GRAM[kind](n) == (exact.window(lower.get, n), d[:n])
+        assert families.GRAM[kind](n) == (leading_block(lower, n), d[:n])
 
 
 @pytest.mark.parametrize("series, kind", [("L1", "H1"), ("L2", "H2")])
@@ -473,7 +477,8 @@ def test_gram_without_a_unit_diagonal_falls_back(monkeypatch):
     # L diag(s) D diag(s) L^T == L D L^T for signs s, so the product still holds
     # with columns of L negated, but L is no longer unit: the Bareiss pass runs
     lower, d = families.GRAM["H1"](8)
-    negated = exact.window(lambda i, j: (-1) ** j * lower.get(i, j), 8)
+    rows = lower.to_rows()
+    negated = exact.window(lambda i, j: (-1) ** j * rows[i][j], 8)
     monkeypatch.setitem(families.GRAM, "H1", lambda n: (negated, d))
     minors = _calls(monkeypatch, "leading_principal_minors")
     report = verify.run_check("hankel-h1", n_max=8)
@@ -518,12 +523,11 @@ def test_ldu_of_m2_diagonal_is_thue_morse_signs():
 
 def kronecker_power(rows, r):
     """The r-fold Kronecker power of a 2x2 matrix, a 2^r x 2^r ExactMatrix."""
-    base = exact.ExactMatrix.from_rows(rows)
     out = exact.window(lambda i, j: int(i == j), 1)
     for _ in range(r):
-        prev = out
-        out = exact.window(lambda i, j: prev.get(i // 2, j // 2) * base.get(i % 2, j % 2),
-                           2 * prev.rows)
+        prev = out.to_rows()
+        out = exact.window(lambda i, j: prev[i // 2][j // 2] * rows[i % 2][j % 2],
+                           2 * len(prev))
     return out
 
 
@@ -547,7 +551,7 @@ def test_m_side_windows_are_kronecker_powers():
         factors = exact.ldu_decompose(m2)
         assert factors.L == kronecker_power([[1, 0], [1, 1]], r)
         assert factors.L == transpose(families.window_of(families.M1(1), n))
-        assert list(factors.D) == [signs.get(i, i) for i in range(n)]
+        assert list(factors.D) == [row[i] for i, row in enumerate(signs.to_rows())]
         assert factors.U == kronecker_power([[1, 1], [0, 1]], r)
     two = exact.ExactMatrix.from_rows
     for a in range(-3, 4):
@@ -723,13 +727,10 @@ def test_products_names_the_smallest_failing_block():
     identity = exact.window(lambda i, j: int(i == j), 4)
     lhs = exact.ExactMatrix.from_rows([[1, 0, 0, 5], [0, 1, 0, 0],
                                        [0, 0, 7, 0], [0, 0, 0, 1]])
-    report = verify.VerificationReport("demo", "n <= 4")
-    assert not verify._products([("demo", lhs, identity, identity.to_rows())], report, 4)
-    assert report.failures == [{"parameters": "demo, n=3, entry (2,2)",
-                                "expected": "1", "actual": "7"}]
-    assert report.checked == 4
-    assert verify._products([("demo", identity, identity, identity.to_rows())],
-                            verify.VerificationReport("demo", "n <= 4"), 4)
+    assert verify._first_difference("demo", exact.product_rows(lhs, identity),
+                                    identity.to_rows()) == ("demo, n=3, entry (2,2)", 1, 7)
+    assert verify._first_difference("demo", exact.product_rows(identity, identity),
+                                    identity.to_rows()) is None
 
 
 def test_run_check_registry():
@@ -746,6 +747,16 @@ def test_run_check_registry():
         verify.run_check("item1", n_max=-1)
     # the anti-triangular windows of hankel-h2 do not depend on n_max
     assert verify.run_check("hankel-h2", n_max=0).checked == verify._ANTI_K_MAX
+
+
+def test_run_check_builds_one_report_per_identity(monkeypatch):
+    # every sweep writes into run_check's report and builds no scratch report of its own
+    built, report_type = [], verify.VerificationReport
+    monkeypatch.setattr(verify, "VerificationReport",
+                        lambda *args, **kwargs: built.append(args[0]) or report_type(*args, **kwargs))
+    for identity_id in verify.IDENTITIES:
+        assert verify.run_check(identity_id).passed
+    assert built == list(verify.IDENTITIES)
 
 
 def test_verify_all_is_run_check_over_the_registry(monkeypatch):
