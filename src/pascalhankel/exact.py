@@ -299,9 +299,11 @@ def _insert(basis: dict, row: int, time: int, field: tuple) -> None:
     left >= p: no carry or borrow crosses a field, in steps fixed for all p.
     """
     p, b, n, mu, low, top, k = field
-    mask = (1 << b) - 1
+    mask, c = (1 << b) - 1, -1
     while row:
-        c = ((row & -row).bit_length() - 1) // b
+        last, c = c, ((row & -row).bit_length() - 1) // b
+        if c == last:  # leads rise, or a faulty reduction left field c at p or above
+            raise ArithmeticError(f"column {c} not cleared mod {p}")
         kept = basis.get(c)
         if kept is None or kept[0] < time:
             basis[c] = (time, row, pow(row >> c * b & mask, -1, p))

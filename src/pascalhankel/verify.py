@@ -18,7 +18,8 @@ sides are homogeneous in (a, b), so b = 1 suffices, and their coefficients
 in a, at most n max c^2 and c_ij 2^(e_ij), are certified below x = 2^K, so
 W(F(x)) W(F(1)) == W(F(x+1)) proves it (Kronecker substitution).  The
 hypothesis is checked at x, x + 1 and on each window of the grid, so every
-reported pair is covered; a failure names the first entry where it fails.
+reported pair is covered; a failure, as for every identity, names its first
+differing entry and the smallest window holding it (_first_difference).
 
 det-m1a holds for all a != 0 and k: for i < n <= 2^r, entry (i, k+j) of M1(a)
 is a^(s2(k+j) - s2(i)) times entry (i, j) of W, the M1(1) window at shift k mod
@@ -73,8 +74,10 @@ def _first_difference(label, rows, target):
     square window differ from target's, compared a row at a time as rows yields them; None
     if none does.  Block n holds (i, j) exactly when max(i, j) < n, so one pass over the
     largest product settles every upper-left block and names the smallest that fails."""
-    first = min((min((max(i, j), i, j, w, v) for j, (v, w) in enumerate(zip(row, want)) if v != w)
-                 for i, (row, want) in enumerate(zip(rows, target)) if row != want), default=None)
+    least = lambda i, row, want: row != want and min(
+        (max(i, j), i, j, w, v) for j, (v, w) in enumerate(zip(row, want)) if v != w)
+    # map drops each row and its want before it reads the next: a product row at a time is held
+    first = min(filter(None, map(least, itertools.count(), rows, target)), default=None)
     if first:
         _, i, j, want, got = first
         return f"{label}, n={max(i, j) + 1}, entry ({i},{j})", want, got
@@ -129,46 +132,35 @@ def _item2(report, a, n_max):
         report.fail(*bad)
 
 
-def _differing(label, c, got, ones, f, g):
-    """fail() arguments for each entry (i, j) of the rows got other than c_ij c^(f_j - g_i), c_ij
-    the rows ones; a negative f_j - g_i, out of the power table, is a hypothesis failure."""
+def _scaled_rows(c, ones, f, g):
+    """The rows c_ij c^(f_j - g_i), c_ij the rows ones, one list at a time; a negative
+    f_j - g_i, out of the power table, leaves an exact Fraction, a hypothesis failure."""
     powers = [c ** e for e in range(max(f, default=0) - min(g, default=0) + 1)]
-
-    def failures(i, row, crow, gi):
-        want = [cij and cij * (powers[fj - gi] if fj >= gi else Fraction(c) ** (fj - gi))
-                for cij, fj in zip(crow, f)]
-        return () if row == want else [(f"{label}, entry ({i},{j})", w, v)
-                                       for j, (v, w) in enumerate(zip(row, want)) if v != w]
-
-    # map drops a row and its want before it reads the next row, and reads got to its end,
-    # so that a stream of product rows frees its factors
-    for found in map(failures, itertools.count(), got, ones, g):
-        yield from found
-
-
-def _refutations(kind, a, n):
-    """fail() arguments for each entry at which the substitution proof (see the
-    module docstring) fails on n x n windows, in the order it checks them."""
-    lists = lambda w: (list(w.entries[i:i + n]) for i in range(0, n * n, n))  # no n lists kept
-    one = families.window_of(families.Family(kind, 1), n)
-    k = (n * max(one.entries, default=0) ** 2).bit_length() or 1
-    x, wx = 1 << k, families.window_of(families.Family(kind, 1 << k), n)
-    e0 = [max(v.bit_length() - 1, 0) // k for v in wx.entries[:n]]  # e_0j; e_ij = e_0j - e_0i
-    differing = lambda label, c, got: _differing(label, c, got, lists(one), e0, e0)
-    if any(cij < 0 or cij and (f < g or cij << f - g >= x)
-           for crow, g in zip(lists(one), e0) for cij, f in zip(crow, e0)):
-        yield f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside"
-    yield from differing(f"a={x}", x, lists(wx))
-    rows, wx = exact.product_rows(wx, one), None  # W(F(x)) is freed once its rows are read
-    yield from differing(f"a={x}, b=1", x + 1, rows)
-    for c in dict.fromkeys([x + 1, *a, *(p + q for p, q in itertools.product(a, a))]):
-        yield from differing(f"a={c}", c, families.rows(families.Family(kind, c), n))
+    return ([cij and cij * (powers[fj - gi] if fj >= gi else Fraction(c) ** (fj - gi))
+             for cij, fj in zip(crow, f)] for crow, gi in zip(ones, g))
 
 
 def _group_law(kind, report, a, n_max):
-    """F(a) F(b) == F(a+b) for each pair of a x a, F of the kind, by the substitution proof."""
+    """F(a) F(b) == F(a+b) for each pair of a x a, F of the kind, by the substitution proof
+    (module docstring); its first refutation, in the order it checks, fails the report."""
     report.checked += len(a) ** 2 * n_max
-    if refuted := next(_refutations(kind, a, n_max), None):
+    fam, n = functools.partial(families.Family, kind), n_max
+    lists = lambda w: (list(w.entries[i:i + n]) for i in range(0, n * n, n))  # no n lists kept
+    one = families.window_of(fam(1), n)
+    k = (n * max(one.entries, default=0) ** 2).bit_length() or 1
+    x, wx = 1 << k, [families.window_of(fam(1 << k), n)]
+    e0 = [max(v.bit_length() - 1, 0) // k for v in wx[0].entries[:n]]  # e_0j; e_ij = e_0j - e_0i
+    check = lambda label, c, rows: _first_difference(
+        label, rows, _scaled_rows(c, lists(one), e0, e0))
+    grid = dict.fromkeys([x + 1, *a, *(p + q for p, q in itertools.product(a, a))])
+    if refuted := (any(cij < 0 or cij and (f < g or cij << f - g >= x)
+                       for crow, g in zip(lists(one), e0) for cij, f in zip(crow, e0))
+                   and (f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{k})", "a coefficient outside")
+                   or check(f"a={x}", x, lists(wx[0]))
+                   # popped, W(F(x)) is held by the product's stream alone, freed once read
+                   or check(f"a={x}, b=1", x + 1, exact.product_rows(wx.pop(), one))
+                   or next(filter(None, (check(f"a={c}", c, families.rows(fam(c), n))
+                                         for c in grid)), None)):
         report.fail(*refuted)
 
 
@@ -213,7 +205,7 @@ def _det_m1a(report, a, n_max, k_max):
     for x, k in itertools.product(a, range(k_max + 1)):
         f = [sequences.s2(k + j) for j in range(n_max)]
         rows = families.rows(families.M1(x), n_max, n_max, k)
-        if bad := next(_differing(f"a={x}, k={k}", x, rows, ones[k % period], f, g), None):
+        if bad := _first_difference(f"a={x}, k={k}", rows, _scaled_rows(x, ones[k % period], f, g)):
             report.fail(*bad)
         if s := eps.get(f"k={k % period}"):
             e = itertools.accumulate(map(operator.sub, f, g))
@@ -283,6 +275,11 @@ IDENTITIES = {
         _det_m1a, {"a": (1, -1, 2, -2, 3, -3), "n_max": 10, "k_max": 32},
         lambda a, n_max, k_max: f"n <= {n_max}, k <= {k_max}, a in {tuple(filter(None, a))}",
         "By diagonal scaling each minor is a^e eps(n, k mod 2^r), 2^r >= n_max, for all a, k."),
+    # both hold for every n: a series [0; a_1 X, a_2 X, ...] has Hankel minors (-1)^(n(n-1)/2)
+    # prod_(k<=n) a_k^-(2n-2k+1), L1 = [0; X, X, ...] and L2's quotients are pf(k) X by the
+    # folding lemma (Mendes France, Acta Arith. 1973; van der Poorten & Shallit, J. Number
+    # Theory 1992).  H2's 2^k - 1 anti-triangular windows hold for every k, as c_m mod 2 = 1
+    # exactly when m = 2^(j+1) - 2: 2^k - 2 on the anti-diagonal, none up to 2^(k+1) - 4 below.
     # H1's minor of order n is (-1)^floor(n/2) = (-1)^(n(n-1)/2), D_k being (-1)^k (families.GRAM)
     "hankel-h1": Identity(
         functools.partial(_gram, families.H1, "H1", lambda n: (-1) ** (n // 2)),

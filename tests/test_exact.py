@@ -460,8 +460,8 @@ def unpacked(basis: dict, field: tuple, width: int) -> dict:
 
 @pytest.fixture
 def deadline():
-    """Fail the test after 30 s (it takes about 1 s): a reduction that left a field at p or
-    above would make exact._insert add the pivot forever instead of clearing the lead."""
+    """Fail the test after 30 s (it takes about 1 s) should exact._insert loop without end,
+    as it did when a faulty reduction left the lead field at p or above."""
     def expire(signum, frame):
         raise TimeoutError("exact._insert did not finish within 30 s")
 
@@ -582,3 +582,22 @@ def test_csv_roundtrip():
     # the exact text `matrix show` prints: no header, no trailing newline
     a = ExactMatrix.from_rows([[1, -2, 3], [4, 5, -6]])
     assert exact.to_csv(a) == "1,-2,3\n4,5,-6"
+
+
+@pytest.mark.usefixtures("deadline")
+def test_insert_raises_where_a_reduction_leaves_the_lead(monkeypatch):
+    """With Barrett's exponent one short, 2 bit_length(p) - 1, a reduction can leave the
+    lead field nonzero; exact._insert raises then instead of adding the pivot forever."""
+    field = exact._field
+
+    def short(p, width):
+        p, b, n, _, _, top, k = field(p, width)
+        ones, n = top >> b - 1, n - 1
+        return p, b, n, (1 << n) // p, ones * ((1 << b - n) - 1), top, k
+
+    monkeypatch.setattr(exact, "_field", short)
+    rng = random.Random(251)
+    with pytest.raises(ArithmeticError, match="not cleared mod 251"):
+        for _ in range(200):
+            exact.rank_mod_p(ExactMatrix(12, 12, tuple(rng.randrange(251) for _ in range(144))),
+                             251)

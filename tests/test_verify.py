@@ -10,6 +10,7 @@ import io
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -117,7 +118,7 @@ def test_group_law_corrupted_at_the_substitution_point_fails(kind, k, i, j, expe
     # first differing entry is reported
     _corrupt(monkeypatch, kind, 2 ** k, i, j)
     report = verify.run_check(f"group-law-{kind.lower()}")
-    assert report.failures == [{"parameters": f"a={2 ** k}, entry ({i},{j})",
+    assert report.failures == [{"parameters": f"a={2 ** k}, n={max(i, j) + 1}, entry ({i},{j})",
                                 "expected": str(expected), "actual": str(expected + 1)}]
     assert report.checked == 121 * 64
 
@@ -280,7 +281,7 @@ def test_det_m1a_zero_minor_fails_by_its_shift(monkeypatch):
     _corrupt(monkeypatch, "M1", 1, 1, 1, -1)
     report = verify.run_check("det-m1a", a=(2,), n_max=4, k_max=0)
     assert report.failures == [_failure("k=0", "nonzero minor", "zero minor of order 2"),
-                               _failure("a=2, k=0, entry (1,1)", 0, 1)]
+                               _failure("a=2, k=0, n=2, entry (1,1)", 0, 1)]
     assert (report.checked, report.data) == (4, {"signs": {}})
     args = ["verify", "det-m1a", "--a-range=2:2", "--n-max", "4", "--k-max", "0"]
     assert cli.run(args, out=io.StringIO()) == 1
@@ -507,11 +508,11 @@ def test_power_table_leaves_negative_exponents_to_pow(monkeypatch):
     # P1(1) with entry (3,1) set makes c_31 = 1 at e_31 = e_01 - e_03 = -2, a failed
     # hypothesis; the entry's want is x^-2, not an entry counted from the table's end
     _corrupt(monkeypatch, "P1", 1, 3, 1)
-    refuted = list(verify._refutations("P1", (1,), 4))
     x = 2 ** (4 * 3 ** 2).bit_length()
-    assert refuted[0] == (f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{x.bit_length() - 1})",
-                          "a coefficient outside")
-    want = next(w for label, w, _ in refuted if label == f"a={x}, entry (3,1)")
+    assert verify.run_check("group-law-p1", a=(1,), n_max=4).failures == [_failure(
+        f"a={x}", f"every c_ij 2^(e_ij) in [0, 2^{x.bit_length() - 1})", "a coefficient outside")]
+    e0 = list(range(4))  # row 0 of P1(x) is x^j
+    want = list(verify._scaled_rows(x, families.rows(families.P1(1), 4), e0, e0))[3][1]
     assert type(want) is Fraction and str(want) == f"1/{x ** 2}"
 
 
@@ -610,19 +611,19 @@ CORRUPTED = {
     # a grid parameter outside {1, x, x+1}: the hypothesis, checked on the window of
     # a + b = 4, wants C(4,1) 4^3 = 256 at (1,4)
     "group-law-p1": ("group-law-p1", {"a": (1, 2), "n_max": 6}, ("P1", 4, 1, 4),
-                     {"parameters": "a=4, entry (1,4)",
+                     {"parameters": "a=4, n=5, entry (1,4)",
                       "expected": "256", "actual": "257"}, 4 * 6),
     # M1(1) is the proof's W(F(1)): its (0,1) entry 2 makes the hypothesis want
     # 2 x at x = 2^6, where M1(x) holds x
     "group-law-m1": ("group-law-m1", {"a": (0, 1), "n_max": 8}, ("M1", 1, 0, 1),
-                     {"parameters": "a=64, entry (0,1)",
+                     {"parameters": "a=64, n=2, entry (0,1)",
                       "expected": "128", "actual": "64"}, 4 * 8),
     # the scaling wants 2^(s2(1) - s2(1)) times entry (1,1) of the M1(1) window at k = 0
     "det-m1a": ("det-m1a", {"a": (2,), "n_max": 4, "k_max": 0}, ("M1", 2, 1, 1),
-                {"parameters": "a=2, k=0, entry (1,1)", "expected": "1", "actual": "2"}, 4),
+                {"parameters": "a=2, k=0, n=2, entry (1,1)", "expected": "1", "actual": "2"}, 4),
     # M1(1)'s entry (3,4) made 1: the scaling wants 2^(s2(4) - s2(3)) = 1/2 there, exactly
     "det-m1a-negative-exponent": ("det-m1a", {"a": (2,), "n_max": 5, "k_max": 0},
-                                  ("M1", 1, 3, 4), {"parameters": "a=2, k=0, entry (3,4)",
+                                  ("M1", 1, 3, 4), {"parameters": "a=2, k=0, n=5, entry (3,4)",
                                                     "expected": "1/2", "actual": "0"}, 5),
     "item1": ("item1", {"n_max": 5}, ("P2", 0, 2, 1),
               {"parameters": "P1^T P1, n=3, entry (2,1)",
@@ -644,6 +645,14 @@ def test_corrupted_entry_is_reported_by_entry(case, monkeypatch):
     report = verify.run_check(identity_id, **options)
     assert report.failures == [failure]
     assert report.checked == checked
+
+
+def test_every_entry_failure_names_its_smallest_window():
+    # the one failure rule: entry (i,j) is named with n = max(i,j) + 1, the smallest
+    # window that holds it
+    labels = [case[3]["parameters"] for case in CORRUPTED.values()]
+    found = [re.search(r", n=(\d+), entry \((\d+),(\d+)\)$", label) for label in labels]
+    assert all(m and int(m[1]) == max(int(m[2]), int(m[3])) + 1 for m in found), labels
 
 
 def _failure(parameters, expected, actual) -> dict:
