@@ -284,22 +284,24 @@ def _pack(row, field: tuple) -> int:
     return sum(x % field[0] << c * field[1] for c, x in enumerate(row))
 
 
-def _insert(basis: dict, row: int, time: int, field: tuple) -> None:
+def _insert(basis: dict, row: int, time: int, field: tuple) -> tuple:
     """Insert a row packed by _pack, stamped `time`, into `basis`: the one F_p
-    elimination.
+    elimination.  Returns the (column, time) pairs it placed, in order, and
+    the time of the row it dropped (reduced to zero), or None.
 
     `basis` maps a leading (lowest nonzero) column to (time, row, inverse of
     the row's lead).  On a collision the newer row keeps the column and the
     older one, reduced by it, goes on; so for every l the kept rows of time
-    >= l span the inserted rows of time >= l, and a stack inserted with
-    decreasing times never swaps.  A reduction adds (p - f) pivot, leaving
-    each field v <= p^2 - p < 2^n.  As v mu <= (p - 1) 2^n < 2^b for mu =
-    2^n // p, one product, shift and mask give each field Barrett's q = v mu
-    >> n < p, v - 2p < q p <= v, and adding 2^(b-1) - p flags the fields
-    left >= p: no carry or borrow crosses a field, in steps fixed for all p.
+    >= l span the inserted rows of time >= l, with distinct leads, and a
+    stack inserted with decreasing times never swaps.  A reduction adds
+    (p - f) pivot, leaving each field v <= p^2 - p < 2^n.  As v mu <= (p - 1)
+    2^n < 2^b for mu = 2^n // p, one product, shift and mask give each field
+    Barrett's q = v mu >> n < p, v - 2p < q p <= v, and adding 2^(b-1) - p
+    flags the fields left >= p: no carry or borrow crosses a field, in steps
+    fixed for all p.
     """
     p, b, n, mu, low, top, k = field
-    mask, c = (1 << b) - 1, -1
+    mask, c, placed = (1 << b) - 1, -1, []
     while row:
         last, c = c, ((row & -row).bit_length() - 1) // b
         if c == last:  # leads rise, or a faulty reduction left field c at p or above
@@ -307,13 +309,15 @@ def _insert(basis: dict, row: int, time: int, field: tuple) -> None:
         kept = basis.get(c)
         if kept is None or kept[0] < time:
             basis[c] = (time, row, pow(row >> c * b & mask, -1, p))
+            placed.append((c, time))
             if kept is None:
-                return
+                return placed, None
             time, row, _ = kept
         _, pivot, inv = basis[c]
         row += (p - (row >> c * b & mask) * inv % p) * pivot
         row -= (row * mu >> n & low) * p
         row -= ((row + k & top) >> b - 1) * p
+    return placed, time
 
 
 # --- serialization ---------------------------------------------------------

@@ -57,13 +57,18 @@ class PointSet:
 def t_value(gs: GeneratingSet, m_max: int) -> list:
     """Minimal t = m - k per depth m = 1..m_max, k the largest strength whose
     compositions all pass, from the windows built once at m_max."""
-    return _t_values(gs.p, gs.windows(m_max), m_max)
+    return _t_values(gs.p, _packed(gs.p, gs.windows(m_max), m_max), m_max)
+
+
+def _packed(p: int, windows: list, m_max: int) -> list:
+    field = exact._field(p, m_max)
+    return [[exact._pack(row, field) for row in w] for w in windows]
 
 
 def _t_values(p: int, windows: list, m_max: int) -> list:
-    """t per depth 1..m_max from m_max x m_max windows reduced mod p, in one
-    pass that keeps the echelon form of the rows already stacked (Pirsic &
-    Schmid, J. Complexity 17 (2001)); about R^4 steps for three generators.
+    """t per depth 1..m_max from m_max x m_max windows reduced mod p and
+    packed by _packed, in one pass that keeps the echelon form of the rows
+    already stacked (Pirsic & Schmid, J. Complexity 17 (2001)).
 
     need(c), the least depth at which composition c's stack has full rank,
     is 1 + the largest leading column of its basis.  T[k], the largest need
@@ -73,57 +78,68 @@ def _t_values(p: int, windows: list, m_max: int) -> list:
     of the last two generators are the windows of Y_{R-1}..Y_0, X_0..X_{R-1}
     around the boundary: once row r is in, window [l, r] has rank
     #{kept rows of time >= l}, and at depth m #{those of lead < m}.
+
+    In any insertion order the kept rows of time >= l span the inserted rows
+    of time >= l with distinct leads: the pivot columns of that span.  last_two
+    reads only such leads, of the rows of time >= 0 (count and top) and of
+    the Y row of time -a, so Y goes in once, before the walk; Y rows past a
+    budget are older than every window it reads.  A new row is the newest and
+    keeps a column, so a stack is singular exactly when _insert drops a row of
+    time >= 0; its placements update the top, which never falls, and Y's leads.
     """
     if m_max < 1:
         raise ValueError("m_max must be positive")
     never = m_max + 1
     worst = [0] * (m_max + 1)  # largest need found over the compositions of k
     field = exact._field(p, m_max)
-    windows = [[exact._pack(row, field) for row in w] for w in windows]
+    *gens, ys = windows if len(windows) > 1 else windows + [[]]
+    shared = {}
+    for a, row in enumerate(ys, 1):
+        exact._insert(shared, row, -a, field)
 
-    def last_two(xs, ys, used, prefix):
+    def last_two(xs, used, basis):
         budget = m_max - used
-        basis = dict(prefix)
-        for a in range(min(budget, len(ys)), 0, -1):
-            exact._insert(basis, ys[a - 1], -a, field)
+        basis = dict(basis)
+        top = max((c + 1 for c, (time, _, _) in basis.items() if time >= 0), default=0)
+        leads = {-time: c for c, (time, _, _) in basis.items() if time < 0}
         for b in range(budget + 1):
             if b:
-                exact._insert(basis, xs[b - 1], b - 1, field)
-            # the prefix rows, stamped newest, and X[:b] are in every window
-            count, top, leads = 0, 0, {}
-            for c, (time, _, _) in basis.items():
-                if time >= 0:
-                    count += 1
-                    top = max(top, c + 1)
-                else:
-                    leads[-time] = c
-            for a in range(min(budget - b, len(ys)) + 1):
-                if a in leads:
-                    count += 1
-                    top = max(top, leads[a] + 1)
-                if count < used + a + b:
-                    # every larger a (and, from a = 0, every larger b) fails too
-                    worst[used + a + b] = never
-                    if a == 0:
+                placed, dropped = exact._insert(basis, xs[b - 1], b - 1, field)
+                if dropped is not None:
+                    if dropped >= 0:  # the prefix and X[:b] are singular, as is every larger b
+                        worst[used + b] = never
                         return
+                    del leads[-dropped]
+                for c, time in placed:
+                    if time >= 0:
+                        top = c + 1 if c >= top else top
+                    else:
+                        leads[-time] = c
+            # the prefix rows and X[:b] are in every window
+            worst[used + b] = max(worst[used + b], top)
+            need = top
+            for k in range(used + b + 1, used + min(budget, b + len(ys)) + 1):
+                lead = leads.get(k - used - b, -1)  # of the Y row of time -a, a = k - used - b
+                if lead < 0:  # every larger a fails too
+                    worst[k] = never
                     break
-                worst[used + a + b] = max(worst[used + a + b], top)
+                need = lead + 1 if lead >= need else need
+                worst[k] = need if need > worst[k] else worst[k]
 
-    def walk(gens, used, prefix):
-        if len(gens) <= 2:
-            last_two(gens[0], gens[1] if len(gens) == 2 else [], used, prefix)
-            return
-        prefix = dict(prefix)
+    def walk(gens, used, basis):
+        if len(gens) == 1:
+            return last_two(gens[0], used, basis)
+        basis = dict(basis)
         for d in range(m_max - used + 1):
-            walk(gens[1:], used + d, prefix)
+            walk(gens[1:], used + d, basis)
             if used + d == m_max:
                 return
-            exact._insert(prefix, gens[0][d], m_max + used + d, field)
-            if len(prefix) == used + d:  # singular, and so is every extension
+            _, dropped = exact._insert(basis, gens[0][d], m_max + used + d, field)
+            if dropped is not None and dropped >= 0:  # singular, and so is every extension
                 worst[used + d + 1] = never
                 return
 
-    walk(windows, 0, {})
+    walk(gens, 0, shared)
     # T[k]; each composition the walk skipped is singular, as is one of a
     # smaller k that it recorded as never
     big_t = list(itertools.accumulate(worst, max))
@@ -231,7 +247,7 @@ def search_third_matrix(p: int, m_max: int, candidate_generator: str,
     "m1" walks M1(a), a = 2 .. p - 1 (M1(a) mod p is M1(a mod p)), at most
     budget of them; "random" draws seeded random upper unitriangular windows.
     """
-    base = GeneratingSet(p, (families.M1(0), families.M1(1))).windows(m_max)
+    base = _packed(p, GeneratingSet(p, (families.M1(0), families.M1(1))).windows(m_max), m_max)
     results = []
     if candidate_generator == "m1":
         candidates = [(f"M1:a={a}", families.M1(a))
@@ -243,7 +259,7 @@ def search_third_matrix(p: int, m_max: int, candidate_generator: str,
     else:
         raise ValueError(f"unknown candidate generator: {candidate_generator!r}")
     for name, cand in candidates:
-        ts = _t_values(p, base + [_window(cand, m_max, p)], m_max)
+        ts = _t_values(p, base + _packed(p, [_window(cand, m_max, p)], m_max), m_max)
         results.append({"candidate": name, "t_per_m": ts, "t": max(ts)})
     results.sort(key=lambda r: (r["t"], r["candidate"]))
     return results

@@ -558,6 +558,49 @@ def test_packed_elimination_matches_the_list_reference():
     assert ranks == {(False, True), (True, False), (False, False)}
 
 
+@pytest.mark.usefixtures("deadline")
+def test_insert_reports_the_rows_it_places_and_drops():
+    """exact._insert returns the (column, time) pairs it placed and the time it
+    dropped: replayed on a column -> time map, the placements give the basis's
+    own after every insert, and the dropped time is the one time that left the
+    basis.  Rows go in with distinct times in random order and in the decreasing
+    order of rank_mod_p, which places one row and never swaps."""
+    rng = random.Random(36)
+    seen = set()
+    for p in (2, 3, 251):
+        for width in range(13):
+            for _ in range(6):
+                rows = []
+                for i in range(rng.randint(0, 16)):
+                    kind = rng.randrange(4) if i else 0
+                    if kind == 1:
+                        rows.append([0] * width)
+                    elif kind == 2:
+                        f, g = rng.randrange(p), rng.randrange(p)
+                        rows.append([(f * x + g * y) % p for x, y in
+                                     zip(rows[rng.randrange(i)], rows[rng.randrange(i)])])
+                    else:
+                        rows.append([rng.randrange(p) if rng.random() < 0.6 else 0
+                                     for _ in range(width)])
+                field = exact._field(p, width)
+                stamped = list(zip(rng.sample(range(-50, 50), len(rows)), rows))
+                for order in (stamped, sorted(stamped, key=lambda tr: -tr[0])):
+                    basis, columns = {}, {}
+                    for time, row in order:
+                        before = {t for t, _, _ in basis.values()} | {time}
+                        placed, dropped = exact._insert(basis, exact._pack(row, field),
+                                                        time, field)
+                        columns.update(placed)
+                        assert columns == {c: t for c, (t, _, _) in basis.items()}
+                        left = before - {t for t, _, _ in basis.values()}
+                        assert left == ({dropped} if dropped is not None else set())
+                        if order is not stamped:
+                            assert len(placed) <= 1
+                        seen.add((len(placed) > 1, dropped is None, dropped == time))
+    # swaps, drops of the inserted row and of a row it displaced, and no drop all occur
+    assert {(True, False, False), (False, False, True), (True, True, False)} <= seen
+
+
 @pytest.mark.parametrize("maker", [families.P1, families.M1])
 def test_window_multiplicativity_for_triangular_families(maker):
     # truncation is multiplicative for upper triangular generators

@@ -182,6 +182,44 @@ def test_t_value_matches_fresh_search_on_random_generators():
     assert singular_prefix >= 5
 
 
+def test_t_value_where_prefix_rows_drop_rows_of_the_shared_last_basis(monkeypatch):
+    """The last generator's rows go once into the basis that the walk copies.
+    Where they repeat or combine rows of the leading generators, the rows of
+    the walk's prefix and of the next-to-last generator, stamped newer,
+    displace and drop them; a zero or repeated prefix row drops a prefix row
+    (a singular prefix).  The one pass still finds the t of a search from
+    t = 0."""
+    m, insert, drops = 8, exact._insert, []
+
+    def recording(basis, row, time, field):
+        placed, dropped = insert(basis, row, time, field)
+        drops.append((time, dropped))
+        return placed, dropped
+
+    rng = random.Random(3636)
+    for p in (2, 3, 5):
+        for s in (3, 4):
+            for _ in range(5):
+                drawn = [random_generator(m, p, rng)[0].to_rows() for _ in range(s - 1)]
+                last = []
+                for _ in range(m):
+                    lead = rng.choice(drawn)
+                    u, v = lead[rng.randrange(m)], lead[rng.randrange(m)]
+                    f, g = rng.randrange(p), rng.randrange(p)
+                    last.append(list(u) if rng.random() < 0.5 else
+                                [(f * x + g * y) % p for x, y in zip(u, v)])
+                g = gs(p, *map(exact.ExactMatrix.from_rows, drawn + [last]))
+                want = t_values_by_fresh_search(g, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(exact, "_insert", recording)
+                    assert net.t_value(g, m) == want, (p, s)
+    # prefix rows are stamped m and later, the next-to-last generator's 0 .. m - 1
+    # and the last generator's -m .. -1
+    kinds = {(time >= m, dropped >= m) for time, dropped in drops
+             if dropped is not None and (dropped < 0 <= time or dropped >= m)}
+    assert kinds == {(True, False), (False, False), (True, True)}
+
+
 def test_t_value_when_the_last_two_parts_are_zero():
     """Row i of the shift has its one in column i + 1, so (d, 0, 0) needs
     depth d + 1: more than any composition with a row of the last two."""

@@ -123,11 +123,14 @@ def test_group_law_corrupted_at_the_substitution_point_fails(kind, k, i, j, expe
     assert report.checked == 121 * 64
 
 
-def _window_bytes(w):
-    """The bytes a window holds: its entry tuple and its ints outside CPython's
+def _held_bytes(values):
+    """The bytes a tuple or list holds: itself and its ints outside CPython's
     small-int cache, each a separate allocation."""
-    return sys.getsizeof(w.entries) + sum(sys.getsizeof(v) for v in w.entries
-                                          if not -5 <= v <= 256)
+    return sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values if not -5 <= v <= 256)
+
+
+def _window_bytes(w):
+    return _held_bytes(w.entries)
 
 
 def test_group_law_proof_peaks_below_the_pair_loop():
@@ -151,12 +154,17 @@ def test_group_law_proof_peaks_below_the_pair_loop():
 
 def test_group_law_proof_streams_its_product():
     # the proof reads W(F(x)) W(F(1)) row by row and frees W(F(x)) once they are read,
-    # so it never holds both whole
+    # so besides W(F(x)), W(F(1)) and the power table of x + 1 it holds fewer than five
+    # product-sized rows at a time (about 3.7); one more row and its want, held past
+    # their comparison, pass the bound
     n = verify.IDENTITIES["group-law-p1"].grid["n_max"]
     one = families.window_of(families.P1(1), n)
     x = 1 << (n * max(one.entries) ** 2).bit_length()
     wx = families.window_of(families.P1(x), n)
-    both = _window_bytes(wx) + _window_bytes(exact.mat_mul(wx, one))
+    e0 = [max(v.bit_length() - 1, 0) // (x.bit_length() - 1) for v in wx.entries[:n]]
+    table = _held_bytes([(x + 1) ** e for e in range(max(e0) - min(e0) + 1)])
+    row = max(map(_held_bytes, exact.product_rows(wx, one)))
+    bound = _window_bytes(wx) + _window_bytes(one) + table + 5 * row
     del wx
     tracemalloc.start()
     try:
@@ -164,7 +172,7 @@ def test_group_law_proof_streams_its_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < both
+    assert peak < bound
 
 
 def test_group_law_m1_small():
